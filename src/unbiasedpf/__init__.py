@@ -16,7 +16,6 @@ from .cpf import (
     CpfBatchEstimate,
     batch_cpf_run,
     cpf_step,
-    increment_functional,
     init_coupled_system,
     maximal_coupling_resample,
     wasserstein_resample,
@@ -53,7 +52,6 @@ from .pf import (
     ParticleSystem,
     PfBatchEstimate,
     batch_pf_run,
-    filter_functional,
     init_particle_system,
     multinomial_indices,
     normalized_weights,
@@ -132,9 +130,7 @@ __all__ = [
     "euler_step",
     "exact_unit_transition",
     "expected_draw_cost",
-    "filter_functional",
     "generate_data",
-    "increment_functional",
     "init_coupled_system",
     "init_particle_system",
     "kalman_reference",

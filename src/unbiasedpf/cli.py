@@ -16,6 +16,7 @@ I/O failures.
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import os
@@ -79,14 +80,6 @@ _NUMERICAL_ERRORS = (
     UnsupportedDimension,
 )
 
-_INT_FIELDS = (
-    "n", "seed", "threads", "lmax", "m", "n0", "cost_budget", "mse_points",
-    "repeats", "particles", "level",
-)
-_FLOAT_FIELDS = ("beta", "rho", "c1")
-_BOOL_FIELDS = ("desk", "strict", "unbounded", "refresh")
-_LIST_FIELDS = ("levels",)
-
 
 @dataclass
 class ExperimentConfig:
@@ -127,24 +120,25 @@ class ExperimentConfig:
 
 
 def _coerce(name, raw):
-    """Parse a raw config-file string into the field's type."""
+    """Parse a raw config-file string into the field's annotated type."""
     if raw is None:
         return None
     s = str(raw).strip()
     if s == "" or s.lower() == "none":
         return None
-    if name in _INT_FIELDS:
+    kind = ExperimentConfig.__annotations__[name]
+    if kind is int:
         return int(s)
-    if name in _FLOAT_FIELDS:
+    if kind is float:
         return float(s)
-    if name in _BOOL_FIELDS:
+    if kind is bool:
         low = s.lower()
         if low in ("true", "1", "yes"):
             return True
         if low in ("false", "0", "no"):
             return False
         raise ConfigError(f"cannot read boolean config value {name} = {raw!r}")
-    if name in _LIST_FIELDS:
+    if kind is tuple:
         return tuple(int(tok) for tok in s.replace(",", " ").split())
     return s
 
@@ -183,9 +177,9 @@ def write_config(cfg, path):
         v = getattr(cfg, f.name)
         if v is None or f.name == "threads":
             continue
-        if f.name in _LIST_FIELDS:
+        if f.type is tuple:
             v = ",".join(str(x) for x in v)
-        elif f.name in _BOOL_FIELDS:
+        elif f.type is bool:
             v = "true" if v else "false"
         lines.append(f"{f.name} = {v}")
     with open(path, "w") as fh:
@@ -313,6 +307,7 @@ def run_reference(cfg):
         "n": data.n,
         "kind": "kalman" if exact else "pf",
         "seed": cfg.get("seed", 1),
+        "data_sha256": hashlib.sha256(data.y.tobytes()).hexdigest(),
     }
     if not exact:
         params["level"] = cfg.get("level", 8 if desk else 10)

@@ -6,6 +6,9 @@ coupled scheme, so that the fine and coarse marginals are each an ordinary
 bootstrap filter while the pairs stay positively correlated. The object of
 interest is the increment: the fine filter functional minus the coarse one,
 whose variance shrinks with l and makes level randomization affordable.
+The batch loop is pf.run_batches: each batch carries the pair as two
+clouds, and each time step yields a CpfBatchEstimate, the fine and coarse
+PfBatchEstimate side by side.
 
 Two resampling couplings are provided. The maximal coupling draws a shared
 ancestor with the largest probability the two weight vectors allow
@@ -15,12 +18,12 @@ shared uniform through both weighted empirical quantile functions, which
 keeps resampled pairs close in position rather than merely equal in index.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidSimplex, UnsupportedDimension
-from .pf import normalized_weights, weighted_ratio
+from .errors import InvalidSimplex, UnsupportedDimension
+from .pf import PfBatchEstimate, inverse_cdf, normalized_weights, run_batches
 from .sde import coupled_transition
 
 
@@ -28,7 +31,7 @@ def _check_simplex(w, what):
     w = np.asarray(w, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise InvalidSimplex(f"{what} must be a non-empty vector")
-    if np.any(w < -1e-12) or not np.isfinite(w).all():
+    if (w < -1e-12).any() or not np.isfinite(w).all():
         raise InvalidSimplex(f"{what} has negative or non-finite entries")
     if abs(float(w.sum()) - 1.0) > 1e-9:
         raise InvalidSimplex(f"{what} does not sum to 1")
@@ -65,32 +68,20 @@ def maximal_coupling_resample(gen, w_fine, w_coarse, size):
     u = gen.random((4, size))
 
     if 1.0 - alpha < 1e-14:
-        cum = np.cumsum(m / alpha)
-        cum[-1] = 1.0
-        j = np.searchsorted(cum, u[1], side="right")
+        j = inverse_cdf(m / alpha, u[1])
         return j, j.copy(), CouplingDiagnostics(alpha, 1.0)
 
     if alpha <= 0.0:
-        cf = np.cumsum(wf)
-        cf[-1] = 1.0
-        cc = np.cumsum(wc)
-        cc[-1] = 1.0
-        idx_f = np.searchsorted(cf, u[2], side="right")
-        idx_c = np.searchsorted(cc, u[3], side="right")
+        idx_f = inverse_cdf(wf, u[2])
+        idx_c = inverse_cdf(wc, u[3])
         return idx_f, idx_c, CouplingDiagnostics(0.0, 0.0)
 
     matched = u[0] < alpha
-    cum_m = np.cumsum(m / alpha)
-    cum_m[-1] = 1.0
-    shared = np.searchsorted(cum_m, u[1], side="right")
+    shared = inverse_cdf(m / alpha, u[1])
 
     resid = 1.0 - alpha
-    cf = np.cumsum((wf - m) / resid)
-    cf[-1] = 1.0
-    cc = np.cumsum((wc - m) / resid)
-    cc[-1] = 1.0
-    idx_f = np.where(matched, shared, np.searchsorted(cf, u[2], side="right"))
-    idx_c = np.where(matched, shared, np.searchsorted(cc, u[3], side="right"))
+    idx_f = np.where(matched, shared, inverse_cdf((wf - m) / resid, u[2]))
+    idx_c = np.where(matched, shared, inverse_cdf((wc - m) / resid, u[3]))
     return idx_f, idx_c, CouplingDiagnostics(alpha, float(matched.mean()))
 
 
@@ -112,13 +103,9 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
 
     u = gen.random(size)
     of = np.argsort(pos_fine[:, 0], kind="stable")
-    cf = np.cumsum(wf[of])
-    cf[-1] = 1.0
     oc = np.argsort(pos_coarse[:, 0], kind="stable")
-    cc = np.cumsum(wc[oc])
-    cc[-1] = 1.0
-    idx_f = of[np.searchsorted(cf, u, side="right")]
-    idx_c = oc[np.searchsorted(cc, u, side="right")]
+    idx_f = of[inverse_cdf(wf[of], u)]
+    idx_c = oc[inverse_cdf(wc[oc], u)]
     return idx_f, idx_c
 
 
@@ -139,6 +126,10 @@ class CoupledParticleSystem:
     @property
     def n(self):
         return self.fine.shape[0]
+
+    @property
+    def clouds(self):
+        return (self.fine, self.coarse)
 
 
 def init_coupled_system(model, level, n, stream, counter=None, scheme="wasserstein"):
@@ -163,13 +154,15 @@ def cpf_step(system, log_w_fine, log_w_coarse):
             gen, system.fine, wf, system.coarse, wc, system.n
         )
         alpha = float(np.minimum(wf, wc).sum())
-        diag = CouplingDiagnostics(alpha, float(np.mean(idx_f == idx_c)))
+        matched = np.count_nonzero(idx_f == idx_c) / system.n
+        diag = CouplingDiagnostics(alpha, matched)
     xf, xc = coupled_transition(
         system.model, system.fine[idx_f], system.coarse[idx_c],
         system.level, gen, system.counter,
     )
-    return replace(
-        system, fine=xf, coarse=xc, time_index=system.time_index + 1, diag=diag
+    return CoupledParticleSystem(
+        system.model, system.level, xf, xc, system.time_index + 1,
+        system.stream, system.scheme, system.counter, diag,
     )
 
 
@@ -177,56 +170,16 @@ def cpf_step(system, log_w_fine, log_w_coarse):
 class CpfBatchEstimate:
     """Per-batch functional pieces of a coupled filter at one time step.
 
-    Fine and coarse sides keep separate shared scales; the increment is the
-    size-weighted fine ratio minus the size-weighted coarse ratio.
+    The fine and coarse PfBatchEstimate keep separate shared scales; the
+    increment is the size-weighted fine ratio minus the size-weighted
+    coarse ratio.
     """
 
-    batch_sizes: np.ndarray
-    num_fine: np.ndarray
-    den_fine: np.ndarray
-    num_coarse: np.ndarray
-    den_coarse: np.ndarray
-    scale_fine: float = 0.0
-    scale_coarse: float = 0.0
-    time_index: int = 0
-
-    def _combined(self, num, den, q):
-        if q is None:
-            q = len(num) - 1
-        sizes = np.asarray(self.batch_sizes[: q + 1], dtype=float)
-        n = float(np.dot(sizes, num[: q + 1]))
-        d = float(np.dot(sizes, den[: q + 1]))
-        if d <= 0.0 or not np.isfinite(d):
-            raise DegenerateWeights(
-                "combined batch estimate has zero mass", p=q, time_index=self.time_index
-            )
-        return n / d
-
-    def combined_fine(self, q=None):
-        return self._combined(self.num_fine, self.den_fine, q)
-
-    def combined_coarse(self, q=None):
-        return self._combined(self.num_coarse, self.den_coarse, q)
+    fine: PfBatchEstimate
+    coarse: PfBatchEstimate
 
     def increment(self, q=None):
-        return self.combined_fine(q) - self.combined_coarse(q)
-
-
-def increment_functional(obj, log_g=None, phi=None, q=None):
-    """Fine-minus-coarse filter functional.
-
-    For a CoupledParticleSystem, log_g is applied to both clouds and the
-    two self-normalized ratios are differenced; identical clouds give
-    exactly zero. For a CpfBatchEstimate, returns the combined increment
-    through batch q.
-    """
-    if isinstance(obj, CpfBatchEstimate):
-        return obj.increment(q)
-    if not callable(log_g):
-        raise TypeError("log_g must be callable when evaluating a live coupled system")
-    rf = weighted_ratio(log_g(obj.fine), phi(obj.fine), time_index=obj.time_index)
-    rc = weighted_ratio(log_g(obj.coarse), phi(obj.coarse), time_index=obj.time_index)
-    return rf - rc
+        return self.fine.combined(q) - self.coarse.combined(q)
 
 
 def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
@@ -237,65 +190,11 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     batch_pf_run; each batch carries a fine/coarse pair instead of one
     cloud. Returns one CpfBatchEstimate per observation time.
     """
-    if phi is None:
-        phi = bm.phi
-    model = bm.diffusion
-    obs = bm.observation
-    sizes = schedule.batch_sizes(p)
     systems = [
-        init_coupled_system(model, level, m, stream.child(q), counter, scheme)
-        for q, m in enumerate(sizes)
+        init_coupled_system(bm.diffusion, level, m, stream.child(q), counter, scheme)
+        for q, m in enumerate(schedule.batch_sizes(p))
     ]
-    out = []
-    n = data.n
-    for k in range(n):
-        y = data.y[k]
-        lg_f = [obs.log_g(s.fine, y) for s in systems]
-        lg_c = [obs.log_g(s.coarse, y) for s in systems]
-        est = _time_estimate(sizes, systems, lg_f, lg_c, phi, level, p, k)
-        out.append(est)
-        if k < n - 1:
-            try:
-                systems = [
-                    cpf_step(s, f, c) for s, f, c in zip(systems, lg_f, lg_c)
-                ]
-            except DegenerateWeights as err:
-                raise DegenerateWeights(
-                    "coupled batch filter lost all weight",
-                    level=level.l, p=p, time_index=k,
-                ) from err
-    return out
-
-
-def _shift(logs, level, p, k, side):
-    m = max(float(np.max(lg)) for lg in logs)
-    if np.isnan(m) or m == np.inf:
-        raise DegenerateWeights(
-            f"non-finite {side} log-weights", level=level.l, p=p, time_index=k
-        )
-    if m == -np.inf:
-        raise DegenerateWeights(
-            f"all {side} log-weights underflowed", level=level.l, p=p, time_index=k
-        )
-    return m
-
-
-def _time_estimate(sizes, systems, lg_f, lg_c, phi, level, p, k):
-    shift_f = _shift(lg_f, level, p, k, "fine")
-    shift_c = _shift(lg_c, level, p, k, "coarse")
-    nb = len(systems)
-    num_f = np.empty(nb)
-    den_f = np.empty(nb)
-    num_c = np.empty(nb)
-    den_c = np.empty(nb)
-    for q, (s, f, c) in enumerate(zip(systems, lg_f, lg_c)):
-        gf = np.exp(f - shift_f)
-        gc = np.exp(c - shift_c)
-        num_f[q] = np.mean(gf * np.asarray(phi(s.fine), dtype=float))
-        den_f[q] = np.mean(gf)
-        num_c[q] = np.mean(gc * np.asarray(phi(s.coarse), dtype=float))
-        den_c[q] = np.mean(gc)
-    return CpfBatchEstimate(
-        np.asarray(sizes), num_f, den_f, num_c, den_c,
-        scale_fine=shift_f, scale_coarse=shift_c, time_index=k,
-    )
+    return [
+        CpfBatchEstimate(fine, coarse)
+        for fine, coarse in run_batches(bm, data, p, level, systems, cpf_step, phi)
+    ]

@@ -11,14 +11,35 @@ mutually independent filters. The combined estimate through batch q weights
 each batch's self-normalized ratio by its size, which reproduces a single
 N_q-particle average in expectation while letting a randomized estimator
 reuse the batches shared by consecutive prefixes.
+
+One per-time loop, run_batches, serves both this filter and the coupled
+filter of cpf: a batch carries one cloud here and a fine/coarse pair there,
+and each cloud side gets its own PfBatchEstimate per observation time.
 """
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateWeights
 from .sde import transition
+
+
+def _check_log_max(m, level=None, p=None, time_index=None):
+    """Raise DegenerateWeights unless the log-weight maximum m is finite.
+
+    NaN or +inf means some log-weight is non-finite; -inf means every
+    weight underflowed. The error carries whatever context is passed in.
+    """
+    if math.isnan(m) or m == math.inf:
+        raise DegenerateWeights(
+            "non-finite log-weights", level=level, p=p, time_index=time_index
+        )
+    if m == -math.inf:
+        raise DegenerateWeights(
+            "all log-weights underflowed", level=level, p=p, time_index=time_index
+        )
 
 
 def normalized_weights(log_w, level=None, p=None, time_index=None):
@@ -30,29 +51,27 @@ def normalized_weights(log_w, level=None, p=None, time_index=None):
     lw = np.asarray(log_w, dtype=float)
     if lw.size == 0:
         raise ValueError("empty weight vector")
-    m = np.max(lw)
-    if np.isnan(m) or m == np.inf:
-        raise DegenerateWeights(
-            "non-finite log-weights", level=level, p=p, time_index=time_index
-        )
-    if m == -np.inf:
-        raise DegenerateWeights(
-            "all log-weights underflowed", level=level, p=p, time_index=time_index
-        )
+    m = lw.max()
+    _check_log_max(m, level, p, time_index)
     w = np.exp(lw - m)
     s = w.sum()
-    if not np.isfinite(s) or s <= 0.0:
+    if not math.isfinite(s) or s <= 0.0:
         raise DegenerateWeights(
             "weight normalization failed", level=level, p=p, time_index=time_index
         )
     return w / s
 
 
-def multinomial_indices(gen, weights, size):
-    """Draw `size` ancestor indices i.i.d. from a normalized weight vector."""
+def inverse_cdf(weights, u):
+    """Indices drawn by pushing uniforms u through a weight vector's CDF."""
     cum = np.cumsum(weights)
     cum[-1] = 1.0
-    return np.searchsorted(cum, gen.random(size), side="right")
+    return np.searchsorted(cum, u, side="right")
+
+
+def multinomial_indices(gen, weights, size):
+    """Draw `size` ancestor indices i.i.d. from a normalized weight vector."""
+    return inverse_cdf(weights, gen.random(size))
 
 
 @dataclass(frozen=True)
@@ -60,13 +79,10 @@ class BatchSchedule:
     """Doubling sample sizes N_p = n0 * 2^p and their increments."""
 
     n0: int
-    rule: str = "doubling"
 
     def __post_init__(self):
         if int(self.n0) != self.n0 or self.n0 < 1:
             raise ValueError(f"base sample size must be a positive integer, got {self.n0!r}")
-        if self.rule != "doubling":
-            raise ValueError(f"unknown growth rule {self.rule!r}")
         object.__setattr__(self, "n0", int(self.n0))
 
     def size(self, p):
@@ -93,6 +109,10 @@ class ParticleSystem:
     def n(self):
         return self.positions.shape[0]
 
+    @property
+    def clouds(self):
+        return (self.positions,)
+
 
 def init_particle_system(model, level, n, stream, counter=None):
     """Start a filter: n particles drawn from the level-l kernel at x*."""
@@ -111,7 +131,10 @@ def pf_step(system, log_weights):
     pos = transition(
         system.model, system.positions[idx], system.level, gen, system.counter
     )
-    return replace(system, positions=pos, time_index=system.time_index + 1)
+    return ParticleSystem(
+        system.model, system.level, pos, system.time_index + 1,
+        system.stream, system.counter,
+    )
 
 
 @dataclass(frozen=True)
@@ -145,33 +168,61 @@ class PfBatchEstimate:
         return num / den
 
 
-def weighted_ratio(log_g_values, values, time_index=0):
-    """sum(w * values) / sum(w) with w = exp(log_g - max), guarding underflow."""
-    lg = np.asarray(log_g_values, dtype=float)
-    m = np.max(lg)
-    if np.isnan(m) or m == np.inf:
-        raise DegenerateWeights("non-finite log-weights", time_index=time_index)
-    if m == -np.inf:
-        raise DegenerateWeights("all log-weights underflowed", time_index=time_index)
-    w = np.exp(lg - m)
-    den = float(np.sum(w))
-    if den <= 0.0 or not np.isfinite(den):
-        raise DegenerateWeights("weight normalization failed", time_index=time_index)
-    return float(np.sum(w * np.asarray(values, dtype=float))) / den
+def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0):
+    """The PfBatchEstimate of phi over one cloud per batch.
 
-
-def filter_functional(obj, log_g=None, phi=None, q=None):
-    """Self-normalized filter estimate of phi.
-
-    For a ParticleSystem, log_g may be a callable on positions or a
-    precomputed vector; the result is sum(w * phi) / sum(w) with
-    max-subtracted weights w. For a PfBatchEstimate, returns the combined
-    ratio through batch q.
+    All batches share one scale, the largest log-weight, which is checked
+    by _check_log_max with the given (l, p, k) context.
     """
-    if isinstance(obj, PfBatchEstimate):
-        return obj.combined(q)
-    lg = log_g(obj.positions) if callable(log_g) else log_g
-    return weighted_ratio(lg, phi(obj.positions), time_index=obj.time_index)
+    shift = max(float(lg.max()) for lg in log_gs)
+    _check_log_max(shift, level, p, time_index)
+    num = np.empty(len(clouds))
+    den = np.empty(len(clouds))
+    for q, (x, lg) in enumerate(zip(clouds, log_gs)):
+        # sum / size is np.mean's own arithmetic without its call overhead
+        g = np.exp(lg - shift)
+        gphi = g * np.asarray(phi(x), dtype=float)
+        num[q] = gphi.sum() / gphi.size
+        den[q] = g.sum() / g.size
+    return PfBatchEstimate(
+        np.asarray(sizes), num, den, scale=shift, time_index=time_index
+    )
+
+
+def run_batches(bm, data, p, level, systems, step, phi):
+    """Filter independent batch systems over a dataset, one time at a time.
+
+    Every system exposes the same number of clouds (`system.clouds`). At
+    each observation time every cloud is weighted by log_g, each cloud side
+    gets a batch_estimate across the batches, and, except after the last
+    observation, step(system, *log_weights) resamples and propagates. phi
+    None means the benchmark's own test functional.
+
+    Returns one list per observation time with one PfBatchEstimate per
+    cloud side.
+    """
+    if phi is None:
+        phi = bm.phi
+    obs = bm.observation
+    sizes = [s.n for s in systems]
+    out = []
+    n = data.n
+    for k in range(n):
+        y = data.y[k]
+        sides = list(zip(*[s.clouds for s in systems]))
+        logs = [[obs.log_g(x, y) for x in side] for side in sides]
+        out.append([
+            batch_estimate(sizes, side, lg, phi, level.l, p, k)
+            for side, lg in zip(sides, logs)
+        ])
+        if k < n - 1:
+            try:
+                systems = [step(s, *lw) for s, lw in zip(systems, zip(*logs))]
+            except DegenerateWeights as err:
+                raise DegenerateWeights(
+                    "batch filter lost all weight", level=level.l, p=p, time_index=k
+                ) from err
+    return out
 
 
 def batch_pf_run(bm, data, schedule, p, level, stream, counter=None, phi=None):
@@ -184,39 +235,8 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None, phi=None):
     estimates the filter at observation count k+1. Resampling after the
     last observation is skipped since nothing consumes it.
     """
-    if phi is None:
-        phi = bm.phi
-    model = bm.diffusion
-    obs = bm.observation
-    sizes = schedule.batch_sizes(p)
     systems = [
-        init_particle_system(model, level, m, stream.child(q), counter)
-        for q, m in enumerate(sizes)
+        init_particle_system(bm.diffusion, level, m, stream.child(q), counter)
+        for q, m in enumerate(schedule.batch_sizes(p))
     ]
-    out = []
-    n = data.n
-    for k in range(n):
-        y = data.y[k]
-        logg = [obs.log_g(s.positions, y) for s in systems]
-        shift = max(float(np.max(lg)) for lg in logg)
-        if np.isnan(shift) or shift == np.inf:
-            raise DegenerateWeights("non-finite log-weights", level=level.l, p=p, time_index=k)
-        if shift == -np.inf:
-            raise DegenerateWeights("all log-weights underflowed", level=level.l, p=p, time_index=k)
-        num = np.empty(len(systems))
-        den = np.empty(len(systems))
-        for q, (s, lg) in enumerate(zip(systems, logg)):
-            g = np.exp(lg - shift)
-            num[q] = np.mean(g * np.asarray(phi(s.positions), dtype=float))
-            den[q] = np.mean(g)
-        out.append(
-            PfBatchEstimate(np.asarray(sizes), num, den, scale=shift, time_index=k)
-        )
-        if k < n - 1:
-            try:
-                systems = [pf_step(s, lg) for s, lg in zip(systems, logg)]
-            except DegenerateWeights as err:
-                raise DegenerateWeights(
-                    "batch filter lost all weight", level=level.l, p=p, time_index=k
-                ) from err
-    return out
+    return [est for (est,) in run_batches(bm, data, p, level, systems, pf_step, phi)]

@@ -353,7 +353,7 @@ def draw_xi_single(plan, bm, data, l, stream, scheme="wasserstein", phi=None):
         b = n_prev / n_l
         trace = np.array(
             [
-                a * pe.combined(0) + b * ce.combined_fine() - ce.combined_coarse()
+                a * pe.combined(0) + b * ce.fine.combined() - ce.coarse.combined()
                 for pe, ce in zip(pf_ests, cpf_ests)
             ]
         )

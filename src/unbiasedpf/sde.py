@@ -117,11 +117,14 @@ def _as_batch(x, dim):
     return x, False
 
 
-def _diffusion_increment(b, dw):
-    """Apply diffusion matrices b (N, d, d) to noise increments dw (N, d)."""
+def _euler_update(x, drift, dt, b, dw):
+    """x + a(x) dt + b dw, the one Euler update that every path runs.
+
+    b holds diffusion matrices (N, d, d) applied to noise increments dw (N, d).
+    """
     if dw.shape[-1] == 1:
-        return b[..., 0] * dw
-    return np.einsum("...ij,...j->...i", b, dw)
+        return x + drift(x) * dt + b[..., 0] * dw
+    return x + drift(x) * dt + np.einsum("...ij,...j->...i", b, dw)
 
 
 def euler_step(model, x, dt, dw):
@@ -148,7 +151,7 @@ def euler_step(model, x, dt, dw):
     """
     xb, squeeze = _as_batch(x, model.dim)
     dwb = np.asarray(dw, dtype=float).reshape(xb.shape)
-    out = xb + model.drift(xb) * dt + _diffusion_increment(model.diffusion(xb), dwb)
+    out = _euler_update(xb, model.drift, dt, model.diffusion(xb), dwb)
     if not np.all(np.isfinite(out)):
         raise NumericalOverflow(
             f"euler step produced non-finite state for model {model.name!r}"
@@ -188,13 +191,10 @@ def _unit_transition(model, x, level, gen, counter=None, check=True):
     for g in _step_groups(steps, n, d):
         dw = gen.standard_normal((g, n, d)) * sqdt
         for s in range(g):
-            if b is None:
-                x = x + drift(x) * dt + _diffusion_increment(diffusion(x), dw[s])
-            else:
-                x = x + drift(x) * dt + _diffusion_increment(b, dw[s])
+            x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[s])
     if counter is not None:
         counter.add(n * steps)
-    if check and not np.all(np.isfinite(x)):
+    if check and not np.isfinite(x).all():
         raise NumericalOverflow(
             f"level-{level.l} transition overflowed for model {model.name!r}"
         )
@@ -274,15 +274,15 @@ def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
         dw = gen.standard_normal((g, n, d)) * sqdt
         for s in range(g):
             bf = b_const if b_const is not None else diffusion(xf)
-            xf = xf + drift(xf) * dt + _diffusion_increment(bf, dw[s])
+            xf = _euler_update(xf, drift, dt, bf, dw[s])
         dw_c = dw[0::2] + dw[1::2]
         for s in range(g // 2):
             bc = b_const if b_const is not None else diffusion(xc)
-            xc = xc + drift(xc) * dt_c + _diffusion_increment(bc, dw_c[s])
+            xc = _euler_update(xc, drift, dt_c, bc, dw_c[s])
 
     if counter is not None:
         counter.add(n * (steps + steps // 2))
-    if not (np.all(np.isfinite(xf)) and np.all(np.isfinite(xc))):
+    if not (np.isfinite(xf).all() and np.isfinite(xc).all()):
         raise NumericalOverflow(
             f"coupled level-{level.l} transition overflowed for model {model.name!r}"
         )

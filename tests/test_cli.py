@@ -141,6 +141,14 @@ def test_reference_pf_branch(tmp_path):
     )
     assert "cached" not in res2
 
+    # new data in the same place is a different reference, so no cache hit
+    data = _generate(tmp_path, model="NLD", seed=8)
+    res3 = run_experiment(
+        ExperimentConfig(mode="reference", data=data, out=str(out),
+                         level=3, particles=150, repeats=3)
+    )
+    assert "cached" not in res3
+
 
 def test_run_unbiased_artifacts(tmp_path):
     data = _generate(tmp_path)

@@ -13,7 +13,6 @@ from unbiasedpf import (
     Level,
     batch_cpf_run,
     batch_pf_run,
-    increment_functional,
     init_coupled_system,
     init_particle_system,
     maximal_coupling_resample,
@@ -22,7 +21,7 @@ from unbiasedpf import (
 )
 from unbiasedpf.cpf import CoupledParticleSystem, cpf_step
 from unbiasedpf.errors import InvalidSimplex, UnsupportedDimension
-from unbiasedpf.pf import normalized_weights, pf_step
+from unbiasedpf.pf import PfBatchEstimate, batch_estimate, normalized_weights, pf_step
 
 from _oracles import StubGen
 
@@ -183,18 +182,15 @@ def test_cpf_step_preserves_marginal_laws(ou, scheme):
 
 
 def test_increment_hand_values():
+    sizes = np.array([2, 4])
     est = CpfBatchEstimate(
-        batch_sizes=np.array([2, 4]),
-        num_fine=np.array([1.0, 2.0]),
-        den_fine=np.array([1.0, 1.0]),
-        num_coarse=np.array([0.5, 0.5]),
-        den_coarse=np.array([1.0, 1.0]),
+        fine=PfBatchEstimate(sizes, num=np.array([1.0, 2.0]), den=np.array([1.0, 1.0])),
+        coarse=PfBatchEstimate(sizes, num=np.array([0.5, 0.5]), den=np.array([1.0, 1.0])),
     )
-    assert est.combined_fine(1) == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert est.combined_coarse(1) == pytest.approx(0.5, abs=1e-15)
+    assert est.fine.combined(1) == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert est.coarse.combined(1) == pytest.approx(0.5, abs=1e-15)
     assert est.increment(1) == pytest.approx(5.0 / 3.0 - 0.5, abs=1e-15)
     assert est.increment(0) == pytest.approx(0.5, abs=1e-15)
-    assert increment_functional(est, q=1) == est.increment(1)
 
 
 def test_increment_vanishes_on_identical_clouds(ou):
@@ -203,12 +199,11 @@ def test_increment_vanishes_on_identical_clouds(ou):
         model=ou.diffusion, level=Level(1), fine=pos, coarse=pos.copy(),
         time_index=0, stream=RngStream(0),
     )
-    val = increment_functional(
-        system, log_g=lambda x: ou.observation.log_g(x, 0.3), phi=ou.phi
+    fine, coarse = (
+        batch_estimate([system.n], [x], [ou.observation.log_g(x, 0.3)], ou.phi)
+        for x in system.clouds
     )
-    assert val == 0.0
-    with pytest.raises(TypeError):
-        increment_functional(system, log_g=np.zeros(40), phi=ou.phi)
+    assert CpfBatchEstimate(fine, coarse).increment() == 0.0
 
 
 def test_batch_cpf_prefix_is_bit_identical(ou, ou_data_n3):
@@ -217,8 +212,8 @@ def test_batch_cpf_prefix_is_bit_identical(ou, ou_data_n3):
     big = batch_cpf_run(ou, ou_data_n3, sched, 2, Level(2), RngStream(44, (0,)))
     for e_small, e_big in zip(small, big):
         assert np.allclose(
-            e_small.num_fine / e_small.den_fine,
-            e_big.num_fine[:2] / e_big.den_fine[:2],
+            e_small.fine.num / e_small.fine.den,
+            e_big.fine.num[:2] / e_big.fine.den[:2],
             atol=1e-12,
         )
         for q in range(2):

@@ -1,6 +1,7 @@
 """Particle filtering: weights, resampling, batches, and filter accuracy."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from unbiasedpf import (
     Level,
     ParticleSystem,
     PfBatchEstimate,
+    batch_cpf_run,
     batch_pf_run,
-    filter_functional,
     init_particle_system,
     multinomial_indices,
     normalized_weights,
@@ -20,7 +21,7 @@ from unbiasedpf import (
 )
 from unbiasedpf.errors import DegenerateWeights
 from unbiasedpf.observation import DataSet
-from unbiasedpf.pf import weighted_ratio
+from unbiasedpf.pf import batch_estimate
 
 from _oracles import (
     StubGen,
@@ -75,8 +76,6 @@ def test_batch_schedule():
     assert sum(s.batch_sizes(3)) == s.size(3)
     with pytest.raises(ValueError):
         BatchSchedule(0)
-    with pytest.raises(ValueError):
-        BatchSchedule(4, rule="tripling")
 
 
 def test_batch_estimate_hand_value():
@@ -95,24 +94,28 @@ def test_batch_estimate_hand_value():
         bad.combined()
 
 
+def _weighted_ratio(log_g_values, values):
+    # a single batch: the self-normalized ratio sum(w * values) / sum(w)
+    x = np.asarray(values, dtype=float).reshape(-1, 1)
+    est = batch_estimate([x.shape[0]], [x], [np.asarray(log_g_values)], lambda z: z[:, 0])
+    return est.combined()
+
+
 def test_weighted_ratio_exactness():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
     # constant weights reduce to the plain mean, exactly
-    assert weighted_ratio(np.full(4, -5.0), vals) == pytest.approx(2.5, abs=1e-15)
+    assert _weighted_ratio(np.full(4, -5.0), vals) == pytest.approx(2.5, abs=1e-15)
     # a unit functional gives exactly one whatever the weights
     lg = np.array([-1.0, 0.0, -700.0, 3.0])
-    assert weighted_ratio(lg, np.ones(4)) == 1.0
+    assert _weighted_ratio(lg, np.ones(4)) == 1.0
     with pytest.raises(DegenerateWeights):
-        weighted_ratio(np.full(3, -np.inf), np.ones(3))
+        _weighted_ratio(np.full(3, -np.inf), np.ones(3))
 
 
 def test_filter_functional_on_live_system(ou):
     sys_ = init_particle_system(ou.diffusion, Level(1), 200, RngStream(2, (0,)))
-    val = filter_functional(sys_, log_g=lambda x: np.zeros(x.shape[0]), phi=ou.phi)
-    assert val == pytest.approx(float(sys_.positions[:, 0].mean()), abs=1e-12)
-    # precomputed log-weight vectors are accepted too
-    lg = np.zeros(sys_.n)
-    assert filter_functional(sys_, log_g=lg, phi=ou.phi) == pytest.approx(val)
+    est = batch_estimate([sys_.n], sys_.clouds, [np.zeros(sys_.n)], ou.phi)
+    assert est.combined() == pytest.approx(float(sys_.positions[:, 0].mean()), abs=1e-12)
 
 
 def test_init_particle_system_hand_path(ou):
@@ -238,11 +241,20 @@ def test_combined_batches_consistent_for_large_batches(ou, ou_data_n3):
     assert abs(finals.mean() - means[-1]) < 4 * se + 1e-3
 
 
-def test_degenerate_data_raises_with_context(ou):
+@pytest.mark.parametrize(
+    "run, level",
+    [
+        (batch_pf_run, 0),
+        (partial(batch_cpf_run, scheme="maximal"), 2),
+        (partial(batch_cpf_run, scheme="wasserstein"), 2),
+    ],
+    ids=["pf", "cpf-maximal", "cpf-wasserstein"],
+)
+def test_degenerate_data_raises_with_context(ou, run, level):
     bad = DataSet(y=[np.inf], model="OU")
     with pytest.raises(DegenerateWeights) as exc:
-        batch_pf_run(ou, bad, BatchSchedule(8), 1, Level(0), RngStream(1))
-    assert exc.value.level == 0
+        run(ou, bad, BatchSchedule(8), 1, Level(level), RngStream(1))
+    assert exc.value.level == level
     assert exc.value.p == 1
     assert exc.value.time_index == 0
 
