@@ -7,37 +7,21 @@ and reweighting by the sampling probabilities removes the discretization
 and particle biases in expectation; truncating the randomization keeps the
 bias explicitly controlled at finite expected cost. A multilevel particle
 filter is included as the fixed-bias baseline.
+
+The top level exports what callers use; the exception classes live in
+unbiasedpf.errors.
 """
 
 from .costs import cost_of_draw, single_rand_draw_cost
 from .cpf import (
-    CoupledParticleSystem,
-    CouplingDiagnostics,
     CpfBatchEstimate,
     batch_cpf_run,
-    cpf_step,
     init_coupled_system,
     maximal_coupling_resample,
     wasserstein_resample,
 )
-from .errors import (
-    ConfigError,
-    CostBudgetExceeded,
-    DegenerateWeights,
-    ExactUnavailable,
-    FilterError,
-    InvalidLevel,
-    InvalidRate,
-    InvalidSimplex,
-    ModelMismatch,
-    NonOverlappingRange,
-    NumericalOverflow,
-    UnknownModel,
-    UnsupportedDimension,
-)
-from .mlpf import LevelAllocation, MlpfResult, allocate, mlpf_cost, mlpf_estimate
+from .mlpf import allocate, mlpf_cost, mlpf_estimate
 from .observation import (
-    BenchmarkModel,
     DataSet,
     ObservationModel,
     exact_unit_transition,
@@ -55,13 +39,9 @@ from .pf import (
     init_particle_system,
     multinomial_indices,
     normalized_weights,
-    pf_step,
 )
 from .randomization import (
     Pmf,
-    RandomizationPlan,
-    UnbiasedEstimate,
-    XiSample,
     default_base_size,
     draw_xi,
     draw_xi_single,
@@ -76,7 +56,6 @@ from .randomization import (
 from .rng import RngStream
 from .sde import (
     CostCounter,
-    DiffusionModel,
     Level,
     coupled_transition,
     euler_step,
@@ -87,43 +66,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BatchSchedule",
-    "BenchmarkModel",
-    "ConfigError",
-    "CostBudgetExceeded",
     "CostCounter",
-    "CoupledParticleSystem",
-    "CouplingDiagnostics",
     "CpfBatchEstimate",
     "DataSet",
-    "DegenerateWeights",
-    "DiffusionModel",
-    "ExactUnavailable",
-    "FilterError",
-    "InvalidLevel",
-    "InvalidRate",
-    "InvalidSimplex",
     "Level",
-    "LevelAllocation",
-    "MlpfResult",
-    "ModelMismatch",
-    "NonOverlappingRange",
-    "NumericalOverflow",
     "ObservationModel",
     "ParticleSystem",
     "PfBatchEstimate",
     "Pmf",
-    "RandomizationPlan",
     "RngStream",
-    "UnbiasedEstimate",
-    "UnknownModel",
-    "UnsupportedDimension",
-    "XiSample",
     "allocate",
     "batch_cpf_run",
     "batch_pf_run",
     "cost_of_draw",
     "coupled_transition",
-    "cpf_step",
     "default_base_size",
     "draw_xi",
     "draw_xi_single",
@@ -143,7 +99,6 @@ __all__ = [
     "mlpf_estimate",
     "multinomial_indices",
     "normalized_weights",
-    "pf_step",
     "randomized_table_mean",
     "read_dataset",
     "single_rand_draw_cost",

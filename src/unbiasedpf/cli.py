@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .costs import cost_of_draw
 from .cpf import batch_cpf_run
 from .errors import (
     ConfigError,
@@ -48,9 +49,9 @@ from .observation import (
     read_dataset,
     write_dataset,
 )
+from .parallel import parallel_for
 from .pf import BatchSchedule, batch_pf_run
 from .randomization import (
-    _parallel_for,
     default_base_size,
     expected_draw_cost,
     make_single_rand_plan,
@@ -173,15 +174,13 @@ def write_config(cfg, path):
     outputs stay byte-identical across --threads settings.
     """
     lines = []
-    for f in sorted(fields(cfg), key=lambda f: f.name):
-        v = getattr(cfg, f.name)
-        if v is None or f.name == "threads":
-            continue
-        if f.type is tuple:
+    for name, v in sorted(_config_echo(cfg).items()):
+        kind = ExperimentConfig.__annotations__[name]
+        if kind is tuple:
             v = ",".join(str(x) for x in v)
-        elif f.type is bool:
+        elif kind is bool:
             v = "true" if v else "false"
-        lines.append(f"{f.name} = {v}")
+        lines.append(f"{name} = {v}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -194,25 +193,6 @@ def _merged(file_cfg, cli_cfg):
             v = getattr(file_cfg, f.name)
         setattr(out, f.name, v)
     return out
-
-
-@dataclass(frozen=True)
-class CostReport:
-    """Measured versus analytic cost of a randomized run."""
-
-    total_cost: int
-    mean_draw_cost: float
-    expected_draw_cost: float
-    draws: int
-
-    def to_dict(self):
-        exp = self.expected_draw_cost
-        return {
-            "total_cost": self.total_cost,
-            "mean_draw_cost": self.mean_draw_cost,
-            "expected_draw_cost": "inf" if math.isinf(exp) else exp,
-            "draws": self.draws,
-        }
 
 
 def _ensure_out(cfg):
@@ -333,10 +313,12 @@ def run_reference(cfg):
         sched = BatchSchedule(particles)
         vals = np.empty((repeats, data.n))
 
-        for r in range(repeats):
+        def work(r):
             stream = RngStream(params["seed"], (r, ROLE_REFERENCE))
             ests = batch_pf_run(bm, data, sched, 0, level, stream)
             vals[r] = [e.combined(0) for e in ests]
+
+        parallel_for(work, repeats, cfg.get("threads", 1))
         means = vals.mean(axis=0)
         var = vals.var(axis=0, ddof=1) if repeats > 1 else np.zeros(data.n)
         stderr = np.sqrt(var / max(repeats, 1))
@@ -382,7 +364,8 @@ def _mse_vs_cost(est, ref_final, points):
     return rows
 
 
-def run_randomized(cfg, single=False):
+def run_randomized(cfg):
+    single = cfg.mode == "run-single-rand"
     data = _load_data(cfg)
     bm = _benchmark_for(cfg, data)
     plan = _build_plan(cfg, bm, single)
@@ -422,12 +405,7 @@ def run_randomized(cfg, single=False):
         [(k, v, s, est.m, est.total_cost) for k, v, s in est.summary_rows()],
     )
 
-    report = CostReport(
-        total_cost=est.total_cost,
-        mean_draw_cost=est.total_cost / est.m,
-        expected_draw_cost=expected_draw_cost(plan, data.n),
-        draws=est.m,
-    )
+    exp_cost = expected_draw_cost(plan, data.n)
     meta_path = os.path.join(out, f"{prefix}_meta.json")
     _write_meta(
         meta_path,
@@ -436,7 +414,12 @@ def run_randomized(cfg, single=False):
             "estimate": est.value,
             "stderr": est.stderr,
             "retries": est.retries,
-            "cost": report.to_dict(),
+            "cost": {
+                "total_cost": est.total_cost,
+                "mean_draw_cost": est.total_cost / est.m,
+                "expected_draw_cost": "inf" if math.isinf(exp_cost) else exp_cost,
+                "draws": est.m,
+            },
             "config": _config_echo(cfg),
         },
     )
@@ -486,15 +469,12 @@ def run_mlpf(cfg):
             finals[r] = res.value
             comps[r] = res.level_values()
 
-        _parallel_for(work, repeats, threads)
+        parallel_for(work, repeats, threads)
         cost = mlpf_cost(alloc, data.n)
         for l in range(big_l + 1):
-            cost_l = data.n * int(alloc.sizes[l])
-            if l >= 1:
-                cost_l *= (1 << l) + (1 << (l - 1))
-            run_rows.append(
-                (big_l, l, int(alloc.sizes[l]), float(comps[:, l].mean()), cost_l)
-            )
+            m_l = int(alloc.sizes[l])
+            cost_l = cost_of_draw(l, 0, data.n, BatchSchedule(m_l))
+            run_rows.append((big_l, l, m_l, float(comps[:, l].mean()), cost_l))
         run_rows.append((big_l, "total", int(alloc.sizes.sum()), float(finals.mean()), cost))
         if ref is not None:
             mse = float(np.mean((finals - ref[-1]) ** 2))
@@ -540,7 +520,7 @@ def run_sweep(cfg):
             ests = batch_cpf_run(bm, data, sched, 0, Level(l), stream, scheme)
             vals[r] = ests[-1].increment(0)
 
-        _parallel_for(work, repeats, threads)
+        parallel_for(work, repeats, threads)
         rows.append(
             (int(l), float(vals.var(ddof=1)), float(vals.mean()), repeats, particles)
         )
@@ -733,10 +713,8 @@ def run_experiment(cfg):
         result = run_generate(cfg)
     elif mode == "reference":
         result = run_reference(cfg)
-    elif mode == "run-unbiased":
-        result = run_randomized(cfg, single=False)
-    elif mode == "run-single-rand":
-        result = run_randomized(cfg, single=True)
+    elif mode in ("run-unbiased", "run-single-rand"):
+        result = run_randomized(cfg)
     elif mode == "run-mlpf":
         result = run_mlpf(cfg)
     elif mode == "sweep-variance":
@@ -776,6 +754,9 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="mode", required=True)
 
+    def levels(text):
+        return _coerce("levels", text)
+
     sp = sub.add_parser("generate", help="simulate an observation record")
     _add_common(sp)
     sp.add_argument("--gen-level", dest="gen_level",
@@ -801,7 +782,7 @@ def _build_parser():
     sp = sub.add_parser("run-mlpf", help="multilevel particle filter baseline")
     _add_common(sp)
     sp.add_argument("--data", help="dataset CSV from `generate`")
-    sp.add_argument("--levels", type=_int_list, help="maximum levels L, e.g. 1,2,3,4")
+    sp.add_argument("--levels", type=levels, help="maximum levels L, e.g. 1,2,3,4")
     sp.add_argument("--repeats", type=int, help="independent runs per L")
     sp.add_argument("--c1", type=float, help="allocation constant (default 1.0)")
     sp.add_argument("--reference", help="reference CSV for MSE output")
@@ -809,7 +790,7 @@ def _build_parser():
     sp = sub.add_parser("sweep-variance", help="coupled increment variance by level")
     _add_common(sp)
     sp.add_argument("--data", help="dataset CSV from `generate`")
-    sp.add_argument("--levels", type=_int_list, help="coupled levels, e.g. 2,3,4,5")
+    sp.add_argument("--levels", type=levels, help="coupled levels, e.g. 2,3,4,5")
     sp.add_argument("--particles", type=int, help="pairs per run (default 1000)")
     sp.add_argument("--repeats", type=int, help="runs per level (default 100)")
 
@@ -828,13 +809,6 @@ def _build_parser():
     sp.add_argument("--mlpf", help="multilevel MSE-vs-cost CSV")
 
     return parser
-
-
-def _int_list(text):
-    try:
-        return tuple(int(tok) for tok in str(text).replace(",", " ").split())
-    except ValueError as err:
-        raise argparse.ArgumentTypeError(f"expected integers, got {text!r}") from err
 
 
 def main(argv=None):

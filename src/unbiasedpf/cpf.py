@@ -183,7 +183,7 @@ class CpfBatchEstimate:
 
 
 def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
-                  counter=None, phi=None):
+                  counter=None):
     """Run p+1 independent coupled batch filters over a dataset.
 
     The batch layout, child streams and prefix property mirror
@@ -196,5 +196,5 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     ]
     return [
         CpfBatchEstimate(fine, coarse)
-        for fine, coarse in run_batches(bm, data, p, level, systems, cpf_step, phi)
+        for fine, coarse in run_batches(bm, data, p, level, systems, cpf_step)
     ]

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .costs import cost_of_draw
 from .cpf import batch_cpf_run
 from .errors import InvalidRate
+from .parallel import parallel_for
 from .pf import BatchSchedule, batch_pf_run
-from .randomization import _parallel_for
 from .rng import ROLE_MLPF, RngStream
 from .sde import CostCounter, Level
 
@@ -75,14 +76,13 @@ class MlpfResult:
 
 
 def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
-                  phi=None, stream=None):
+                  stream=None):
     """Run one multilevel particle filter over a dataset.
 
     The level components are independent (each gets its own keyed
     sub-stream, so any thread count reproduces the same numbers) and are
-    summed per observation time. Costs are measured by counters: level 0
-    contributes n*M_0 Euler steps, level l >= 1 contributes
-    n*M_l*(2^l + 2^(l-1)).
+    summed per observation time. Costs are measured by counters and equal
+    mlpf_cost's closed form.
     """
     if stream is None:
         stream = RngStream(seed, (0, ROLE_MLPF))
@@ -95,17 +95,13 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
         sub = stream.child(l)
         sched = BatchSchedule(int(alloc.sizes[l]))
         if l == 0:
-            ests = batch_pf_run(
-                bm, data, sched, 0, Level(0), sub, counters[l], phi=phi
-            )
+            ests = batch_pf_run(bm, data, sched, 0, Level(0), sub, counters[l])
             level_per_time[l] = [e.combined(0) for e in ests]
         else:
-            ests = batch_cpf_run(
-                bm, data, sched, 0, Level(l), sub, scheme, counters[l], phi=phi
-            )
+            ests = batch_cpf_run(bm, data, sched, 0, Level(l), sub, scheme, counters[l])
             level_per_time[l] = [e.increment(0) for e in ests]
 
-    _parallel_for(work, big_l + 1, threads)
+    parallel_for(work, big_l + 1, threads)
     per_time = level_per_time.sum(axis=0)
     total = sum(c.euler_steps for c in counters)
     return MlpfResult(alloc, per_time, level_per_time, int(total))
@@ -113,8 +109,6 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
 
 def mlpf_cost(alloc, n):
     """Closed-form Euler-step cost of one run; equals the measured total."""
-    sizes = alloc.sizes
-    total = int(n) * int(sizes[0])
-    for l in range(1, alloc.max_level + 1):
-        total += int(n) * int(sizes[l]) * ((1 << l) + (1 << (l - 1)))
-    return total
+    return sum(
+        cost_of_draw(l, 0, int(n), BatchSchedule(m)) for l, m in enumerate(alloc.sizes)
+    )

@@ -189,20 +189,18 @@ def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0)
     )
 
 
-def run_batches(bm, data, p, level, systems, step, phi):
+def run_batches(bm, data, p, level, systems, step):
     """Filter independent batch systems over a dataset, one time at a time.
 
     Every system exposes the same number of clouds (`system.clouds`). At
     each observation time every cloud is weighted by log_g, each cloud side
-    gets a batch_estimate across the batches, and, except after the last
-    observation, step(system, *log_weights) resamples and propagates. phi
-    None means the benchmark's own test functional.
+    gets a batch_estimate of the benchmark's test functional bm.phi across
+    the batches, and, except after the last observation,
+    step(system, *log_weights) resamples and propagates.
 
     Returns one list per observation time with one PfBatchEstimate per
     cloud side.
     """
-    if phi is None:
-        phi = bm.phi
     obs = bm.observation
     sizes = [s.n for s in systems]
     out = []
@@ -212,7 +210,7 @@ def run_batches(bm, data, p, level, systems, step, phi):
         sides = list(zip(*[s.clouds for s in systems]))
         logs = [[obs.log_g(x, y) for x in side] for side in sides]
         out.append([
-            batch_estimate(sizes, side, lg, phi, level.l, p, k)
+            batch_estimate(sizes, side, lg, bm.phi, level.l, p, k)
             for side, lg in zip(sides, logs)
         ])
         if k < n - 1:
@@ -225,7 +223,7 @@ def run_batches(bm, data, p, level, systems, step, phi):
     return out
 
 
-def batch_pf_run(bm, data, schedule, p, level, stream, counter=None, phi=None):
+def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     """Run p+1 independent batch filters over a dataset.
 
     Batch q gets its own child stream (so prefixes of a larger run are
@@ -239,4 +237,4 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None, phi=None):
         init_particle_system(bm.diffusion, level, m, stream.child(q), counter)
         for q, m in enumerate(schedule.batch_sizes(p))
     ]
-    return [est for (est,) in run_batches(bm, data, p, level, systems, pf_step, phi)]
+    return [est for (est,) in run_batches(bm, data, p, level, systems, pf_step)]

@@ -19,7 +19,6 @@ whole doubling composition collapsed into each draw.
 """
 
 import math
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from .costs import cost_of_draw, single_rand_draw_cost
 from .errors import CostBudgetExceeded, DegenerateWeights, InvalidRate, NumericalOverflow
 from .pf import BatchSchedule, batch_pf_run
 from .cpf import batch_cpf_run
+from .parallel import parallel_for
 from .rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE, RngStream
 from .sde import CostCounter, Level
 
@@ -132,15 +132,11 @@ class RandomizationPlan:
     beta: float = None
     rho: float = None
 
-    @property
-    def shared_p(self):
-        return len(self.p_pmfs) == 1
-
     def pmf_p(self, l):
         """Sample-size pmf conditional on level l."""
         if not self.p_pmfs:
             raise InvalidRate("this plan does not randomize the sample size")
-        if self.shared_p:
+        if len(self.p_pmfs) == 1:
             return self.p_pmfs[0]
         return self.p_pmfs[l - self.level_pmf.start]
 
@@ -256,6 +252,13 @@ def make_single_rand_plan(l_max, n0):
     )
 
 
+def _draw_cost(plan, l, p, n):
+    """Euler-step cost of the plan's draw at (l, p); level-only draws have p = l."""
+    if plan.kind == "single":
+        return single_rand_draw_cost(l, n, plan.schedule)
+    return cost_of_draw(l, p, n, plan.schedule)
+
+
 def expected_draw_cost(plan, n):
     """Expected Euler-step cost of one draw over n observations.
 
@@ -269,12 +272,10 @@ def expected_draw_cost(plan, n):
     total = 0.0
     for l in range(lp.start, lp.stop + 1):
         pl = lp.mass(l)
-        if plan.kind == "single":
-            total += pl * single_rand_draw_cost(l, n, plan.schedule)
-        else:
-            pp = plan.pmf_p(l)
-            for p in range(pp.start, pp.stop + 1):
-                total += pl * pp.mass(p) * cost_of_draw(l, p, n, plan.schedule)
+        # a level-only draw is the cell (l, l) with certainty
+        pp = plan.pmf_p(l) if plan.p_pmfs else Pmf([1.0], start=l)
+        for p in range(pp.start, pp.stop + 1):
+            total += pl * pp.mass(p) * _draw_cost(plan, l, p, n)
     return total
 
 
@@ -291,7 +292,7 @@ class XiSample:
     trace: np.ndarray
 
 
-def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein", phi=None):
+def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
     """Run the (coupled) filter for indices (l, p) and form Xi_{l,p}.
 
     For l = 0 this is the combined level-0 filter estimate through batch p
@@ -307,15 +308,13 @@ def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein", phi=None):
     lvl = Level(l)
     n = data.n
     if l == 0:
-        ests = batch_pf_run(bm, data, plan.schedule, p, lvl, stream, counter, phi=phi)
+        ests = batch_pf_run(bm, data, plan.schedule, p, lvl, stream, counter)
         cur = np.array([e.combined(p) for e in ests])
         prev = (
             np.array([e.combined(p - 1) for e in ests]) if p > 0 else np.zeros(n)
         )
     else:
-        ests = batch_cpf_run(
-            bm, data, plan.schedule, p, lvl, stream, scheme, counter, phi=phi
-        )
+        ests = batch_cpf_run(bm, data, plan.schedule, p, lvl, stream, scheme, counter)
         cur = np.array([e.increment(p) for e in ests])
         prev = (
             np.array([e.increment(p - 1) for e in ests]) if p > 0 else np.zeros(n)
@@ -325,7 +324,7 @@ def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein", phi=None):
     return XiSample(l, p, float(trace[-1]), weight, counter.euler_steps, trace)
 
 
-def draw_xi_single(plan, bm, data, l, stream, scheme="wasserstein", phi=None):
+def draw_xi_single(plan, bm, data, l, stream, scheme="wasserstein"):
     """One level-only randomized draw (the full composition, no p index).
 
     For l = 0: the combined level-0 filter with N_0 particles. For l >= 1:
@@ -337,17 +336,17 @@ def draw_xi_single(plan, bm, data, l, stream, scheme="wasserstein", phi=None):
     sched = plan.schedule
     n = data.n
     if l == 0:
-        ests = batch_pf_run(bm, data, sched, 0, Level(0), stream.child(0), counter, phi=phi)
+        ests = batch_pf_run(bm, data, sched, 0, Level(0), stream.child(0), counter)
         trace = np.array([e.combined(0) for e in ests])
     else:
         n_l = sched.size(l)
         n_prev = sched.size(l - 1)
         extra = n_l - n_prev
         pf_ests = batch_pf_run(
-            bm, data, BatchSchedule(extra), 0, Level(l), stream.child(0), counter, phi=phi
+            bm, data, BatchSchedule(extra), 0, Level(l), stream.child(0), counter
         )
         cpf_ests = batch_cpf_run(
-            bm, data, sched, l - 1, Level(l), stream.child(1), scheme, counter, phi=phi
+            bm, data, sched, l - 1, Level(l), stream.child(1), scheme, counter
         )
         a = extra / n_l
         b = n_prev / n_l
@@ -395,50 +394,12 @@ def _sample_indices(plan, gen, m):
     u = gen.random(m)
     if not plan.p_pmfs:
         return ls, ls.copy()
-    if plan.shared_p:
-        pmf = plan.p_pmfs[0]
-        ps = pmf.start + np.searchsorted(pmf.cum, u, side="right")
-    else:
-        ps = np.zeros(m, dtype=np.int64)
-        for l in np.unique(ls):
-            sel = ls == l
-            pmf = plan.pmf_p(int(l))
-            ps[sel] = pmf.start + np.searchsorted(pmf.cum, u[sel], side="right")
+    ps = np.zeros(m, dtype=np.int64)
+    for l in np.unique(ls):
+        sel = ls == l
+        pmf = plan.pmf_p(int(l))
+        ps[sel] = pmf.start + np.searchsorted(pmf.cum, u[sel], side="right")
     return ls, ps
-
-
-def _parallel_for(work, count, threads):
-    """Run work(i) for i in range(count), optionally across a thread pool.
-
-    Results must land in preallocated per-index slots inside `work`, so the
-    outcome is independent of scheduling. The first raised error aborts the
-    run (pending chunks are cancelled).
-    """
-    if threads is None or threads <= 1 or count <= 1:
-        for i in range(count):
-            work(i)
-        return
-    threads = min(threads, count)
-    bounds = np.linspace(0, count, 4 * threads + 1).astype(int)
-
-    def run_chunk(lo, hi):
-        for i in range(lo, hi):
-            work(i)
-
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [
-            ex.submit(run_chunk, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        done, pending = wait(futs, return_when=FIRST_EXCEPTION)
-        err = next((f.exception() for f in done if f.exception()), None)
-        if err is not None:
-            for f in pending:
-                f.cancel()
-            raise err
-        for f in pending:
-            f.result()
 
 
 def _reduce_draws(plan, ls, ps, xis, traces, costs, retries, m):
@@ -475,8 +436,7 @@ def _reduce_draws(plan, ls, ps, xis, traces, costs, retries, m):
     )
 
 
-def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget,
-                    phi, single):
+def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget):
     if int(m) != m or m < 1:
         raise InvalidRate(f"the number of draws must be a positive integer, got {m!r}")
     if mode not in ("strict", "permissive"):
@@ -487,18 +447,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget,
     ls, ps = _sample_indices(plan, plan_gen, m)
 
     if cost_budget is not None:
-        if single:
-            per_draw = np.array(
-                [single_rand_draw_cost(int(l), data.n, plan.schedule) for l in ls]
-            )
-        else:
-            per_draw = np.array(
-                [
-                    cost_of_draw(int(l), int(p), data.n, plan.schedule)
-                    for l, p in zip(ls, ps)
-                ]
-            )
-        worst = int(per_draw.max())
+        worst = max(_draw_cost(plan, int(l), int(p), data.n) for l, p in zip(ls, ps))
         if worst > cost_budget:
             raise CostBudgetExceeded(
                 f"a sampled draw needs {worst} Euler steps, over the budget of {cost_budget}"
@@ -508,6 +457,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget,
     traces = np.empty((m, data.n))
     costs = np.zeros(m, dtype=np.int64)
     retries = np.zeros(m, dtype=np.int64)
+    single = plan.kind == "single"
     role = ROLE_SINGLE if single else ROLE_FILTER
 
     def work(i):
@@ -521,9 +471,9 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget,
                 stream = root.child(i + 1, ROLE_RETRY, attempt)
             try:
                 if single:
-                    s = draw_xi_single(plan, bm, data, li, stream, scheme, phi)
+                    s = draw_xi_single(plan, bm, data, li, stream, scheme)
                 else:
-                    s = draw_xi(plan, bm, data, li, pi, stream, scheme, phi)
+                    s = draw_xi(plan, bm, data, li, pi, stream, scheme)
             except (DegenerateWeights, NumericalOverflow):
                 if mode == "strict" or attempt >= _MAX_RETRIES:
                     raise
@@ -535,12 +485,12 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget,
             retries[i] = attempt
             return
 
-    _parallel_for(work, m, threads)
+    parallel_for(work, m, threads)
     return _reduce_draws(plan, ls, ps, xis, traces, costs, retries, m)
 
 
 def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
-                      mode="strict", cost_budget=None, phi=None):
+                      mode="strict", cost_budget=None):
     """Average m independent double-randomized draws.
 
     Each draw i gets its own keyed stream, so the result is bit-identical
@@ -554,20 +504,16 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
     """
     if plan.kind == "single":
         raise InvalidRate("use single_randomized_estimate for level-only plans")
-    return _run_randomized(
-        plan, bm, data, m, seed, threads, scheme, mode, cost_budget, phi, single=False
-    )
+    return _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
 
 
 def single_randomized_estimate(plan, bm, data, m, seed, threads=1,
                                scheme="wasserstein", mode="strict",
-                               cost_budget=None, phi=None):
+                               cost_budget=None):
     """Average m independent level-only randomized draws (no p index)."""
     if plan.kind != "single":
         raise InvalidRate("single_randomized_estimate needs a level-only plan")
-    return _run_randomized(
-        plan, bm, data, m, seed, threads, scheme, mode, cost_budget, phi, single=True
-    )
+    return _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
 
 
 def randomized_table_mean(plan, table, m, seed, with_stderr=False):
@@ -587,13 +533,10 @@ def randomized_table_mean(plan, table, m, seed, with_stderr=False):
     ls, ps = _sample_indices(plan, gen, m)
     v = table[ls, ps]
     prev = np.where(ps > 0, table[ls, np.maximum(ps - 1, 0)], 0.0)
-    if plan.shared_p:
-        mass_p = plan.p_pmfs[0].mass(ps)
-    else:
-        mass_p = np.empty(len(ls))
-        for l in np.unique(ls):
-            sel = ls == l
-            mass_p[sel] = plan.pmf_p(int(l)).mass(ps[sel])
+    mass_p = np.empty(len(ls))
+    for l in np.unique(ls):
+        sel = ls == l
+        mass_p[sel] = plan.pmf_p(int(l)).mass(ps[sel])
     vals = plan.level_weight(ls) * (v - prev) / mass_p
     mean = float(np.sum(vals)) / int(m)
     if not with_stderr:

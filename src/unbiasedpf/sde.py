@@ -179,7 +179,7 @@ def _step_groups(steps, n, d):
     return out
 
 
-def _unit_transition(model, x, level, gen, counter=None, check=True):
+def _unit_transition(model, x, level, gen, counter=None):
     """Advance a (N, d) batch one unit of time at the given level."""
     steps = level.steps_per_unit
     dt = level.dt
@@ -194,7 +194,7 @@ def _unit_transition(model, x, level, gen, counter=None, check=True):
             x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[s])
     if counter is not None:
         counter.add(n * steps)
-    if check and not np.isfinite(x).all():
+    if not np.isfinite(x).all():
         raise NumericalOverflow(
             f"level-{level.l} transition overflowed for model {model.name!r}"
         )

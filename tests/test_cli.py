@@ -150,6 +150,17 @@ def test_reference_pf_branch(tmp_path):
     assert "cached" not in res3
 
 
+def test_reference_pf_branch_is_thread_independent(tmp_path):
+    data = _generate(tmp_path, model="NLD")
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"ref{threads}"
+        assert main(["reference", "--data", data, "--out", str(out), "--level", "2",
+                     "--particles", "50", "--repeats", "4", "--threads", threads]) == 0
+        outs.append((out / "reference.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
 def test_run_unbiased_artifacts(tmp_path):
     data = _generate(tmp_path)
     ref = run_experiment(
@@ -334,6 +345,7 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
 
 def test_main_exit_code_for_usage_errors(capsys):
     assert main(["run-unbiased", "--bogus-flag"]) == 1
+    assert main(["run-mlpf", "--levels", "1,x"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()

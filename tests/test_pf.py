@@ -1,5 +1,6 @@
 """Particle filtering: weights, resampling, batches, and filter accuracy."""
 
+import dataclasses
 import math
 from functools import partial
 
@@ -155,6 +156,17 @@ def test_batch_pf_run_deterministic(ou, ou_data_n3):
         np.array_equal(x.num, y.num) and np.array_equal(x.den, y.den)
         for x, y in zip(a, b)
     )
+
+
+def test_custom_functional_goes_through_the_model(ou, ou_data_n3):
+    # the test functional is the model's phi; an affine phi on the same
+    # stream moves every combined estimate by the same affine map
+    sched = BatchSchedule(16)
+    affine = dataclasses.replace(ou, phi=lambda x: 2 * x[..., 0] + 1)
+    base = batch_pf_run(ou, ou_data_n3, sched, 1, Level(2), RngStream(9, (4,)))
+    moved = batch_pf_run(affine, ou_data_n3, sched, 1, Level(2), RngStream(9, (4,)))
+    for b, m in zip(base, moved):
+        assert abs(m.combined() - (2 * b.combined() + 1)) < 1e-12
 
 
 def test_level_filter_targets_match_across_oracles(ou, ou_data_n3):
