@@ -49,7 +49,7 @@ from .observation import (
     read_dataset,
     write_dataset,
 )
-from .parallel import parallel_for
+from .parallel import check_threads, parallel_for
 from .pf import BatchSchedule, batch_pf_run
 from .randomization import (
     default_base_size,
@@ -169,7 +169,7 @@ def read_config(path):
 def write_config(cfg, path):
     """Write the non-None fields of a config as sorted `key = value` lines.
 
-    The thread count is left out on purpose: results are independent of it
+    The worker count is left out on purpose: results are independent of it
     by construction, so it is not part of the experiment's identity and
     outputs stay byte-identical across --threads settings.
     """
@@ -216,7 +216,7 @@ def _write_meta(path, payload):
 
 
 def _config_echo(cfg):
-    """Config as a dict for meta files, minus the thread count (which never
+    """Config as a dict for meta files, minus the worker count (which never
     changes results and would break byte-identity across --threads runs)."""
     return {
         f.name: getattr(cfg, f.name)
@@ -311,17 +311,16 @@ def run_reference(cfg):
         particles = params["particles"]
         repeats = params["repeats"]
         sched = BatchSchedule(particles)
-        vals = np.empty((repeats, data.n))
 
         def work(r):
             stream = RngStream(params["seed"], (r, ROLE_REFERENCE))
             ests = batch_pf_run(bm, data, sched, 0, level, stream)
-            vals[r] = [e.combined(0) for e in ests]
+            return [e.combined(0) for e in ests]
 
-        parallel_for(work, repeats, cfg.get("threads", 1))
+        vals = np.array(parallel_for(work, repeats, cfg.get("threads", 1)), dtype=float)
         means = vals.mean(axis=0)
         var = vals.var(axis=0, ddof=1) if repeats > 1 else np.zeros(data.n)
-        stderr = np.sqrt(var / max(repeats, 1))
+        stderr = np.sqrt(var / repeats)
         rows = [
             (k + 1, float(means[k]), float(var[k]), float(stderr[k]))
             for k in range(data.n)
@@ -457,19 +456,18 @@ def run_mlpf(cfg):
     mse_rows = []
     for big_l in levels:
         alloc = allocate(int(big_l), regime, c1)
-        finals = np.empty(repeats)
-        comps = np.empty((repeats, big_l + 1))
 
-        def work(r, alloc=alloc, finals=finals, comps=comps):
+        def work(r, alloc=alloc):
             res = mlpf_estimate(
                 bm, data, alloc,
                 scheme=scheme, threads=1,
                 stream=RngStream(seed, (r, ROLE_MLPF)),
             )
-            finals[r] = res.value
-            comps[r] = res.level_values()
+            return res.value, res.level_values()
 
-        parallel_for(work, repeats, threads)
+        values, components = zip(*parallel_for(work, repeats, threads))
+        finals = np.array(values, dtype=float)
+        comps = np.array(components, dtype=float)
         cost = mlpf_cost(alloc, data.n)
         for l in range(big_l + 1):
             m_l = int(alloc.sizes[l])
@@ -513,14 +511,13 @@ def run_sweep(cfg):
     for l in levels:
         if l < 1:
             raise InvalidLevel("variance sweeps need coupled levels l >= 1")
-        vals = np.empty(repeats)
 
-        def work(r, l=l, vals=vals):
+        def work(r, l=l):
             stream = RngStream(seed, (r, ROLE_SWEEP, l))
             ests = batch_cpf_run(bm, data, sched, 0, Level(l), stream, scheme)
-            vals[r] = ests[-1].increment(0)
+            return ests[-1].increment(0)
 
-        parallel_for(work, repeats, threads)
+        vals = np.array(parallel_for(work, repeats, threads), dtype=float)
         rows.append(
             (int(l), float(vals.var(ddof=1)), float(vals.mean()), repeats, particles)
         )
@@ -709,6 +706,9 @@ def _emit_plot_script(out):
 def run_experiment(cfg):
     """Dispatch a resolved config to its mode runner; returns artifact paths."""
     mode = cfg.mode
+    check_threads(cfg.get("threads", 1))
+    if cfg.get("repeats", 1) < 1:
+        raise InvalidRate(f"repeats must be at least 1, got {cfg.repeats!r}")
     if mode == "generate":
         result = run_generate(cfg)
     elif mode == "reference":
@@ -734,7 +734,7 @@ def _add_common(sp):
     sp.add_argument("--model", help="OU, Langevin, GBM or NLD")
     sp.add_argument("--n", type=int, help="number of observations")
     sp.add_argument("--seed", type=int, help="base seed (default 1)")
-    sp.add_argument("--threads", type=int, help="worker threads (default 1)")
+    sp.add_argument("--threads", type=int, help="worker processes (default 1)")
     sp.add_argument("--out", help="output directory (default results)")
     sp.add_argument("--desk", action="store_true", default=None,
                     help="small-scale defaults for quick runs")

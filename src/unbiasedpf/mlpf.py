@@ -17,7 +17,7 @@ import numpy as np
 from .costs import cost_of_draw
 from .cpf import batch_cpf_run
 from .errors import InvalidRate
-from .parallel import parallel_for
+from .parallel import check_threads, parallel_for
 from .pf import BatchSchedule, batch_pf_run
 from .rng import ROLE_MLPF, RngStream
 from .sde import CostCounter, Level
@@ -80,31 +80,31 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
     """Run one multilevel particle filter over a dataset.
 
     The level components are independent (each gets its own keyed
-    sub-stream, so any thread count reproduces the same numbers) and are
-    summed per observation time. Costs are measured by counters and equal
-    mlpf_cost's closed form.
+    sub-stream, so any number of worker processes, `threads`, reproduces
+    the same numbers) and are summed per observation time. Costs are
+    measured by counters and equal mlpf_cost's closed form.
     """
     if stream is None:
         stream = RngStream(seed, (0, ROLE_MLPF))
-    n = data.n
+    threads = check_threads(threads)
     big_l = alloc.max_level
-    level_per_time = np.empty((big_l + 1, n))
-    counters = [CostCounter() for _ in range(big_l + 1)]
 
     def work(l):
         sub = stream.child(l)
         sched = BatchSchedule(int(alloc.sizes[l]))
+        counter = CostCounter()
         if l == 0:
-            ests = batch_pf_run(bm, data, sched, 0, Level(0), sub, counters[l])
-            level_per_time[l] = [e.combined(0) for e in ests]
+            ests = batch_pf_run(bm, data, sched, 0, Level(0), sub, counter)
+            row = [e.combined(0) for e in ests]
         else:
-            ests = batch_cpf_run(bm, data, sched, 0, Level(l), sub, scheme, counters[l])
-            level_per_time[l] = [e.increment(0) for e in ests]
+            ests = batch_cpf_run(bm, data, sched, 0, Level(l), sub, scheme, counter)
+            row = [e.increment(0) for e in ests]
+        return row, counter.euler_steps
 
-    parallel_for(work, big_l + 1, threads)
+    rows, steps = zip(*parallel_for(work, big_l + 1, threads))
+    level_per_time = np.array(rows, dtype=float)
     per_time = level_per_time.sum(axis=0)
-    total = sum(c.euler_steps for c in counters)
-    return MlpfResult(alloc, per_time, level_per_time, int(total))
+    return MlpfResult(alloc, per_time, level_per_time, int(sum(steps)))
 
 
 def mlpf_cost(alloc, n):

@@ -1,46 +1,103 @@
-"""Thread scheduling for independent replicates.
+"""Worker processes for independent replicates.
 
 Every replicate loop in the package (randomized draws, MLPF levels, and the
-CLI's repeated runs) hands its per-index work to parallel_for. Each index
-writes its result into its own preallocated slot and draws from its own
-keyed stream, so the outcome does not depend on the thread count or on
-scheduling.
+CLI's reference, run-mlpf and sweep-variance repeats) is a parallel_for map.
+Each index draws from its own keyed stream, so the results do not depend on
+the worker count or on scheduling.
+
+A draw is mostly interpreted Python, so threads would only contend for the
+interpreter lock. parallel_for instead forks its workers after `work`
+exists: each child inherits the closure, the model and the data, so nothing
+is pickled on the way in. Child c runs a fixed contiguous share of the
+indices and sends back, through a pipe, the pickled list of its results and
+the first error it hit. Children leave through os._exit, so they never
+flush the parent's stdio buffers or run its exit handlers.
 """
 
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+import numbers
+import os
+import pickle
+import signal
+import sys
 
-import numpy as np
+from .errors import InvalidRate
+
+
+def check_threads(threads):
+    """Return `threads` as an int; raise InvalidRate unless it is an integer >= 1."""
+    if not isinstance(threads, numbers.Integral) or threads < 1:
+        raise InvalidRate(f"threads must be an integer >= 1, got {threads!r}")
+    return int(threads)
 
 
 def parallel_for(work, count, threads):
-    """Run work(i) for i in range(count), optionally across a thread pool.
+    """Return [work(i) for i in range(count)], computed on worker processes.
 
-    Results must land in preallocated per-index slots inside `work`, so the
-    outcome is independent of scheduling. The first raised error aborts the
-    run (pending chunks are cancelled).
+    min(threads, count, os.cpu_count()) workers run; with one, or where
+    os.fork does not exist, this is a plain loop. An error is raised as the
+    loop would raise it: the error of the lowest failing index, with the
+    same type and attributes. A worker that dies without reporting raises
+    ChildProcessError.
     """
-    if threads is None or threads <= 1 or count <= 1:
-        for i in range(count):
-            work(i)
-        return
-    threads = min(threads, count)
-    bounds = np.linspace(0, count, 4 * threads + 1).astype(int)
+    workers = min(threads, count, os.cpu_count() or 1)
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [work(i) for i in range(count)]
+    bounds = [count * c // workers for c in range(workers + 1)]
+    # A child inherits unflushed stdio buffers; a warning it prints would
+    # flush the parent's pending text a second time.
+    sys.stdout.flush()
+    sys.stderr.flush()
+    children = []  # (pid, read end) of every child not yet reaped
+    try:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(work, lo, hi, w)
+            except BaseException:
+                os.close(r)
+                raise
+            finally:
+                os.close(w)
+            children.append((pid, open(r, "rb")))
+        results = []
+        while children:
+            pid, fh = children[0]
+            payload = fh.read()
+            fh.close()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            code = os.waitstatus_to_exitcode(status)
+            if code != 0:
+                raise ChildProcessError(
+                    f"worker process {pid} ended with exit code {code} without reporting"
+                )
+            part, err = pickle.loads(payload)
+            if err is not None:
+                raise err
+            results.extend(part)
+        return results
+    finally:
+        for pid, fh in children:
+            fh.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
-    def run_chunk(lo, hi):
-        for i in range(lo, hi):
-            work(i)
 
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = [
-            ex.submit(run_chunk, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])
-            if hi > lo
-        ]
-        done, pending = wait(futs, return_when=FIRST_EXCEPTION)
-        err = next((f.exception() for f in done if f.exception()), None)
-        if err is not None:
-            for f in pending:
-                f.cancel()
-            raise err
-        for f in pending:
-            f.result()
+def _child(work, lo, hi, w):
+    """Run work(lo..hi-1) in a forked child, report through fd `w`, and exit."""
+    code = 1
+    try:
+        part, err = [], None
+        try:
+            for i in range(lo, hi):
+                part.append(work(i))
+        except Exception as e:
+            err = e
+        payload = pickle.dumps((part, err), protocol=pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as fh:
+            fh.write(payload)
+        code = 0
+    finally:
+        os._exit(code)

@@ -27,7 +27,7 @@ from .costs import cost_of_draw, single_rand_draw_cost
 from .errors import CostBudgetExceeded, DegenerateWeights, InvalidRate, NumericalOverflow
 from .pf import BatchSchedule, batch_pf_run
 from .cpf import batch_cpf_run
-from .parallel import parallel_for
+from .parallel import check_threads, parallel_for
 from .rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE, RngStream
 from .sde import CostCounter, Level
 
@@ -442,6 +442,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown failure mode {mode!r}")
     m = int(m)
+    threads = check_threads(threads)
     root = RngStream(seed)
     plan_gen = root.child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, plan_gen, m)
@@ -453,10 +454,6 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
                 f"a sampled draw needs {worst} Euler steps, over the budget of {cost_budget}"
             )
 
-    xis = np.empty(m)
-    traces = np.empty((m, data.n))
-    costs = np.zeros(m, dtype=np.int64)
-    retries = np.zeros(m, dtype=np.int64)
     single = plan.kind == "single"
     role = ROLE_SINGLE if single else ROLE_FILTER
 
@@ -471,21 +468,18 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
                 stream = root.child(i + 1, ROLE_RETRY, attempt)
             try:
                 if single:
-                    s = draw_xi_single(plan, bm, data, li, stream, scheme)
-                else:
-                    s = draw_xi(plan, bm, data, li, pi, stream, scheme)
+                    return draw_xi_single(plan, bm, data, li, stream, scheme), attempt
+                return draw_xi(plan, bm, data, li, pi, stream, scheme), attempt
             except (DegenerateWeights, NumericalOverflow):
                 if mode == "strict" or attempt >= _MAX_RETRIES:
                     raise
                 attempt += 1
-                continue
-            xis[i] = s.xi
-            traces[i] = s.trace
-            costs[i] = s.cost
-            retries[i] = attempt
-            return
 
-    parallel_for(work, m, threads)
+    samples, attempts = zip(*parallel_for(work, m, threads))
+    xis = np.array([s.xi for s in samples], dtype=float)
+    traces = np.array([s.trace for s in samples], dtype=float)
+    costs = np.array([s.cost for s in samples], dtype=np.int64)
+    retries = np.array(attempts, dtype=np.int64)
     return _reduce_draws(plan, ls, ps, xis, traces, costs, retries, m)
 
 
@@ -494,9 +488,10 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
     """Average m independent double-randomized draws.
 
     Each draw i gets its own keyed stream, so the result is bit-identical
-    for any thread count. In "strict" mode the first failed draw aborts the
-    run; in "permissive" mode failed draws are retried on fresh sub-streams
-    (up to a small cap) and the retry count is reported.
+    for any number of worker processes (`threads`, an integer >= 1). In
+    "strict" mode the first failed draw aborts the run; in "permissive" mode
+    failed draws are retried on fresh sub-streams (up to a small cap) and
+    the retry count is reported.
 
     cost_budget, if given, bounds the per-draw Euler-step cost up front;
     exceeding it raises CostBudgetExceeded. This is the guard rail for

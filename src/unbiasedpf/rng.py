@@ -2,7 +2,7 @@
 
 Every random draw in this package comes from a stream identified by a base
 seed plus a tuple key. The same (seed, key) always reproduces the same
-sequence, no matter the process, thread count, or the order in which streams
+sequence, no matter the process, worker count, or the order in which streams
 are created, so parallel runs are bit-identical to serial ones. Distinct keys
 give statistically independent streams.
 

@@ -83,7 +83,7 @@ class CostCounter:
 
     One particle advanced by one Euler step costs 1. Counters attached to
     independent replicates are merged at reduction time, so the total is
-    deterministic regardless of thread count.
+    deterministic regardless of worker count.
     """
 
     __slots__ = ("euler_steps",)

@@ -322,6 +322,19 @@ def test_main_success_and_artifact_listing(tmp_path, capsys):
     assert "data:" in printed and str(out) in printed
 
 
+def test_worker_processes_print_nothing(tmp_path, capfd):
+    # forked workers leave without flushing stdio or returning into main();
+    # capfd also sees what a worker writes to the inherited file descriptor
+    data = _generate(tmp_path)
+    capfd.readouterr()
+    out = tmp_path / "run"
+    assert main(["run-unbiased", "--data", data, "--lmax", "1", "--m", "20",
+                 "--n0", "4", "--threads", "2", "--out", str(out)]) == 0
+    lines = capfd.readouterr().out.splitlines()
+    assert len(lines) == len(set(lines)) == 4
+    assert f"draws: {out / 'unbiased_draws.csv'}" in lines
+
+
 def test_main_config_file_with_flag_override(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.txt"
     cfg_path.write_text(f"model = OU\nn = 4\nseed = 9\nout = {tmp_path / 'a'}\n")
@@ -346,6 +359,9 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
 def test_main_exit_code_for_usage_errors(capsys):
     assert main(["run-unbiased", "--bogus-flag"]) == 1
     assert main(["run-mlpf", "--levels", "1,x"]) == 1
+    assert main(["run-unbiased", "--threads", "0"]) == 1
+    assert main(["reference", "--threads", "-1"]) == 1
+    assert main(["sweep-variance", "--repeats", "0"]) == 1
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()

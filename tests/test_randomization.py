@@ -1,6 +1,7 @@
 """Randomization plans, single draws, and the debiased estimators."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy import stats
 from unbiasedpf import (
     BatchSchedule,
     Pmf,
+    allocate,
     cost_of_draw,
     default_base_size,
     draw_xi,
@@ -18,6 +20,7 @@ from unbiasedpf import (
     make_single_rand_plan,
     make_theory_plan,
     make_truncated_plan,
+    mlpf_estimate,
     randomized_table_mean,
     single_rand_draw_cost,
     single_randomized_estimate,
@@ -273,6 +276,18 @@ def test_kind_guards(ou, ou_data_n3):
         unbiased_estimate(double, ou, ou_data_n3, 10, seed=1, mode="lenient")
 
 
+@pytest.mark.parametrize("threads", [0, -2, 1.5, "2", None])
+def test_threads_guard(ou, ou_data_n3, threads):
+    with pytest.raises(InvalidRate):
+        unbiased_estimate(make_truncated_plan(2, 4), ou, ou_data_n3, 10, seed=1,
+                          threads=threads)
+    with pytest.raises(InvalidRate):
+        single_randomized_estimate(make_single_rand_plan(2, 4), ou, ou_data_n3, 10,
+                                   seed=1, threads=threads)
+    with pytest.raises(InvalidRate):
+        mlpf_estimate(ou, ou_data_n3, allocate(1, "constant"), threads=threads)
+
+
 def test_cost_budget_guard(ou, ou_data_n3):
     plan = make_truncated_plan(2, 10)
     with pytest.raises(CostBudgetExceeded):
@@ -295,6 +310,25 @@ def test_permissive_mode_retries_failed_draws():
     est = unbiased_estimate(plan, nld, data, 10, seed=3, mode="permissive")
     assert est.retries > 0
     assert np.isfinite(est.value)
+
+
+def test_strict_failure_is_the_same_for_any_worker_count():
+    # workers report their first error and the parent raises the one of the
+    # lowest failing index, as a serial loop would, and reaps every worker
+    nld = make_benchmark("NLD", link="log")
+    data = DataSet(y=[0.0], model="NLD")
+    plan = make_truncated_plan(0, 2)
+    errs = []
+    for threads in (1, 2):
+        with pytest.raises(DegenerateWeights) as info:
+            unbiased_estimate(plan, nld, data, 10, seed=3, mode="strict", threads=threads)
+        errs.append(info.value)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    one, two = errs
+    assert str(one) == str(two)
+    assert (one.level, one.p, one.time_index) == (two.level, two.p, two.time_index)
+    assert one.level is not None and one.time_index is not None
 
 
 def test_retry_streams_are_deterministic():
