@@ -16,7 +16,6 @@ from .costs import cost_of_draw, single_rand_draw_cost
 from .cpf import (
     CpfBatchEstimate,
     batch_cpf_run,
-    init_coupled_system,
     maximal_coupling_resample,
     wasserstein_resample,
 )
@@ -33,10 +32,8 @@ from .observation import (
 )
 from .pf import (
     BatchSchedule,
-    ParticleSystem,
     PfBatchEstimate,
     batch_pf_run,
-    init_particle_system,
     multinomial_indices,
     normalized_weights,
 )
@@ -71,7 +68,6 @@ __all__ = [
     "DataSet",
     "Level",
     "ObservationModel",
-    "ParticleSystem",
     "PfBatchEstimate",
     "Pmf",
     "RngStream",
@@ -87,8 +83,6 @@ __all__ = [
     "exact_unit_transition",
     "expected_draw_cost",
     "generate_data",
-    "init_coupled_system",
-    "init_particle_system",
     "kalman_reference",
     "make_benchmark",
     "make_single_rand_plan",

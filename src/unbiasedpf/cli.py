@@ -26,7 +26,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .costs import cost_of_draw
-from .cpf import batch_cpf_run
+from .cpf import SCHEMES, batch_cpf_run, check_scheme
 from .errors import (
     ConfigError,
     CostBudgetExceeded,
@@ -707,6 +707,7 @@ def run_experiment(cfg):
     """Dispatch a resolved config to its mode runner; returns artifact paths."""
     mode = cfg.mode
     check_threads(cfg.get("threads", 1))
+    check_scheme(cfg.get("scheme", "wasserstein"))
     if cfg.get("repeats", 1) < 1:
         raise InvalidRate(f"repeats must be at least 1, got {cfg.repeats!r}")
     if mode == "generate":
@@ -743,7 +744,7 @@ def _add_common(sp):
                        help="abort on the first failed draw (default)")
     group.add_argument("--permissive", dest="strict", action="store_false", default=None,
                        help="retry failed draws on fresh sub-streams")
-    sp.add_argument("--scheme", choices=("wasserstein", "maximal"),
+    sp.add_argument("--scheme", choices=SCHEMES,
                     help="coupled resampling scheme (default wasserstein)")
 
 

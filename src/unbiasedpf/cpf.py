@@ -6,9 +6,9 @@ coupled scheme, so that the fine and coarse marginals are each an ordinary
 bootstrap filter while the pairs stay positively correlated. The object of
 interest is the increment: the fine filter functional minus the coarse one,
 whose variance shrinks with l and makes level randomization affordable.
-The batch loop is pf.run_batches: each batch carries the pair as two
-clouds, and each time step yields a CpfBatchEstimate, the fine and coarse
-PfBatchEstimate side by side.
+The batch loop is pf.run_batches: each batch is the pair of (N, d) arrays
+(fine, coarse), and each time step yields a CpfBatchEstimate, the fine and
+coarse PfBatchEstimate side by side.
 
 Two resampling couplings are provided. The maximal coupling draws a shared
 ancestor with the largest probability the two weight vectors allow
@@ -25,6 +25,15 @@ import numpy as np
 from .errors import InvalidSimplex, UnsupportedDimension
 from .pf import PfBatchEstimate, inverse_cdf, normalized_weights, run_batches
 from .sde import coupled_transition
+
+
+SCHEMES = ("wasserstein", "maximal")
+
+
+def check_scheme(scheme):
+    """Raise ValueError unless scheme names a coupled resampling scheme."""
+    if scheme not in SCHEMES:
+        raise ValueError(f"unknown coupled resampling scheme {scheme!r}")
 
 
 def _check_simplex(w, what):
@@ -109,61 +118,17 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
     return idx_f, idx_c
 
 
-@dataclass(frozen=True)
-class CoupledParticleSystem:
-    """Paired particle clouds at one time step of a coupled level-(l, l-1) filter."""
-
-    model: object
-    level: object
-    fine: np.ndarray
-    coarse: np.ndarray
-    time_index: int
-    stream: object
-    scheme: str = "wasserstein"
-    counter: object = None
-    diag: object = None
-
-    @property
-    def n(self):
-        return self.fine.shape[0]
-
-    @property
-    def clouds(self):
-        return (self.fine, self.coarse)
-
-
-def init_coupled_system(model, level, n, stream, counter=None, scheme="wasserstein"):
-    """Start a coupled filter: n pairs drawn from the coupled kernel at x*."""
-    if scheme not in ("maximal", "wasserstein"):
-        raise ValueError(f"unknown coupled resampling scheme {scheme!r}")
-    x0 = np.tile(np.asarray(model.initial_state, dtype=float), (n, 1))
-    xf, xc = coupled_transition(model, x0, x0, level, stream.gen, counter)
-    return CoupledParticleSystem(model, level, xf, xc, 0, stream, scheme, counter)
-
-
-def cpf_step(system, log_w_fine, log_w_coarse):
+def cpf_step(model, level, gen, scheme, xf, xc, log_w_fine, log_w_coarse,
+             counter=None):
     """One coupled filter step: coupled resampling, then coupled propagation."""
-    lvl = system.level.l
-    wf = normalized_weights(log_w_fine, level=lvl, time_index=system.time_index)
-    wc = normalized_weights(log_w_coarse, level=lvl, time_index=system.time_index)
-    gen = system.stream.gen
-    if system.scheme == "maximal":
-        idx_f, idx_c, diag = maximal_coupling_resample(gen, wf, wc, system.n)
+    wf = normalized_weights(log_w_fine)
+    wc = normalized_weights(log_w_coarse)
+    n = xf.shape[0]
+    if scheme == "maximal":
+        idx_f, idx_c, _ = maximal_coupling_resample(gen, wf, wc, n)
     else:
-        idx_f, idx_c = wasserstein_resample(
-            gen, system.fine, wf, system.coarse, wc, system.n
-        )
-        alpha = float(np.minimum(wf, wc).sum())
-        matched = np.count_nonzero(idx_f == idx_c) / system.n
-        diag = CouplingDiagnostics(alpha, matched)
-    xf, xc = coupled_transition(
-        system.model, system.fine[idx_f], system.coarse[idx_c],
-        system.level, gen, system.counter,
-    )
-    return CoupledParticleSystem(
-        system.model, system.level, xf, xc, system.time_index + 1,
-        system.stream, system.scheme, system.counter, diag,
-    )
+        idx_f, idx_c = wasserstein_resample(gen, xf, wf, xc, wc, n)
+    return coupled_transition(model, xf[idx_f], xc[idx_c], level, gen, counter)
 
 
 @dataclass(frozen=True)
@@ -190,11 +155,21 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     batch_pf_run; each batch carries a fine/coarse pair instead of one
     cloud. Returns one CpfBatchEstimate per observation time.
     """
-    systems = [
-        init_coupled_system(bm.diffusion, level, m, stream.child(q), counter, scheme)
-        for q, m in enumerate(schedule.batch_sizes(p))
-    ]
+    check_scheme(scheme)
+    model = bm.diffusion
+    x0 = np.asarray(model.initial_state, dtype=float)
+    gens = [stream.child(q).gen for q in range(p + 1)]
+    batches = []
+    for gen, m in zip(gens, schedule.batch_sizes(p)):
+        start = np.tile(x0, (m, 1))
+        batches.append(coupled_transition(model, start, start, level, gen, counter))
+
+    def step(q, xf, xc, log_w_fine, log_w_coarse):
+        return cpf_step(
+            model, level, gens[q], scheme, xf, xc, log_w_fine, log_w_coarse, counter
+        )
+
     return [
         CpfBatchEstimate(fine, coarse)
-        for fine, coarse in run_batches(bm, data, p, level, systems, cpf_step)
+        for fine, coarse in run_batches(bm, data, p, level, batches, step)
     ]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import cost_of_draw
-from .cpf import batch_cpf_run
+from .cpf import batch_cpf_run, check_scheme
 from .errors import InvalidRate
 from .parallel import check_threads, parallel_for
 from .pf import BatchSchedule, batch_pf_run
@@ -86,6 +86,7 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
     """
     if stream is None:
         stream = RngStream(seed, (0, ROLE_MLPF))
+    check_scheme(scheme)
     threads = check_threads(threads)
     big_l = alloc.max_level
 

@@ -13,8 +13,9 @@ N_q-particle average in expectation while letting a randomized estimator
 reuse the batches shared by consecutive prefixes.
 
 One per-time loop, run_batches, serves both this filter and the coupled
-filter of cpf: a batch carries one cloud here and a fine/coarse pair there,
-and each cloud side gets its own PfBatchEstimate per observation time.
+filter of cpf: a batch is a tuple of plain arrays, one cloud here and a
+fine/coarse pair there, and each cloud side gets its own PfBatchEstimate
+per observation time.
 """
 
 import math
@@ -94,47 +95,10 @@ class BatchSchedule:
         return [self.n0] + [self.n0 * (1 << (q - 1)) for q in range(1, p + 1)]
 
 
-@dataclass(frozen=True)
-class ParticleSystem:
-    """A particle cloud at one time step of a level-l filter."""
-
-    model: object
-    level: object
-    positions: np.ndarray
-    time_index: int
-    stream: object
-    counter: object = None
-
-    @property
-    def n(self):
-        return self.positions.shape[0]
-
-    @property
-    def clouds(self):
-        return (self.positions,)
-
-
-def init_particle_system(model, level, n, stream, counter=None):
-    """Start a filter: n particles drawn from the level-l kernel at x*."""
-    x0 = np.tile(np.asarray(model.initial_state, dtype=float), (n, 1))
-    pos = transition(model, x0, level, stream.gen, counter)
-    return ParticleSystem(model, level, pos, 0, stream, counter)
-
-
-def pf_step(system, log_weights):
-    """One filter step: multinomial resampling by log_weights, then propagate."""
-    w = normalized_weights(
-        log_weights, level=system.level.l, time_index=system.time_index
-    )
-    gen = system.stream.gen
-    idx = multinomial_indices(gen, w, system.n)
-    pos = transition(
-        system.model, system.positions[idx], system.level, gen, system.counter
-    )
-    return ParticleSystem(
-        system.model, system.level, pos, system.time_index + 1,
-        system.stream, system.counter,
-    )
+def pf_step(model, level, gen, x, log_w, counter=None):
+    """One filter step: multinomial resampling by log_w, then propagate."""
+    idx = multinomial_indices(gen, normalized_weights(log_w), x.shape[0])
+    return transition(model, x[idx], level, gen, counter)
 
 
 @dataclass(frozen=True)
@@ -189,25 +153,26 @@ def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0)
     )
 
 
-def run_batches(bm, data, p, level, systems, step):
-    """Filter independent batch systems over a dataset, one time at a time.
+def run_batches(bm, data, p, level, batches, step):
+    """Filter independent batches over a dataset, one time at a time.
 
-    Every system exposes the same number of clouds (`system.clouds`). At
-    each observation time every cloud is weighted by log_g, each cloud side
-    gets a batch_estimate of the benchmark's test functional bm.phi across
-    the batches, and, except after the last observation,
-    step(system, *log_weights) resamples and propagates.
+    Each batch is a tuple of (N_q, d) clouds, the same number for every
+    batch. At each observation time every cloud is weighted by log_g, each
+    cloud side gets a batch_estimate of the benchmark's test functional
+    bm.phi across the batches, and, except after the last observation,
+    step(q, *clouds, *log_weights) resamples and propagates batch q into
+    its next tuple of clouds.
 
     Returns one list per observation time with one PfBatchEstimate per
     cloud side.
     """
     obs = bm.observation
-    sizes = [s.n for s in systems]
+    sizes = [clouds[0].shape[0] for clouds in batches]
     out = []
     n = data.n
     for k in range(n):
         y = data.y[k]
-        sides = list(zip(*[s.clouds for s in systems]))
+        sides = list(zip(*batches))
         logs = [[obs.log_g(x, y) for x in side] for side in sides]
         out.append([
             batch_estimate(sizes, side, lg, bm.phi, level.l, p, k)
@@ -215,7 +180,10 @@ def run_batches(bm, data, p, level, systems, step):
         ])
         if k < n - 1:
             try:
-                systems = [step(s, *lw) for s, lw in zip(systems, zip(*logs))]
+                batches = [
+                    step(q, *clouds, *lw)
+                    for q, (clouds, lw) in enumerate(zip(batches, zip(*logs)))
+                ]
             except DegenerateWeights as err:
                 raise DegenerateWeights(
                     "batch filter lost all weight", level=level.l, p=p, time_index=k
@@ -227,14 +195,22 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     """Run p+1 independent batch filters over a dataset.
 
     Batch q gets its own child stream (so prefixes of a larger run are
-    bit-identical to the smaller run) and size schedule.batch_sizes(p)[q].
+    bit-identical to the smaller run) and size schedule.batch_sizes(p)[q];
+    its particles start with one level-l transition away from x*.
 
     Returns a list with one PfBatchEstimate per observation time; entry k
     estimates the filter at observation count k+1. Resampling after the
     last observation is skipped since nothing consumes it.
     """
-    systems = [
-        init_particle_system(bm.diffusion, level, m, stream.child(q), counter)
-        for q, m in enumerate(schedule.batch_sizes(p))
+    model = bm.diffusion
+    x0 = np.asarray(model.initial_state, dtype=float)
+    gens = [stream.child(q).gen for q in range(p + 1)]
+    batches = [
+        (transition(model, np.tile(x0, (m, 1)), level, gen, counter),)
+        for gen, m in zip(gens, schedule.batch_sizes(p))
     ]
-    return [est for (est,) in run_batches(bm, data, p, level, systems, pf_step)]
+
+    def step(q, x, log_w):
+        return (pf_step(model, level, gens[q], x, log_w, counter),)
+
+    return [est for (est,) in run_batches(bm, data, p, level, batches, step)]

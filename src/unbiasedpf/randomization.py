@@ -26,7 +26,7 @@ import numpy as np
 from .costs import cost_of_draw, single_rand_draw_cost
 from .errors import CostBudgetExceeded, DegenerateWeights, InvalidRate, NumericalOverflow
 from .pf import BatchSchedule, batch_pf_run
-from .cpf import batch_cpf_run
+from .cpf import batch_cpf_run, check_scheme
 from .parallel import check_threads, parallel_for
 from .rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE, RngStream
 from .sde import CostCounter, Level
@@ -104,14 +104,10 @@ class Pmf:
         return self.start + np.searchsorted(self.cum, u, side="right")
 
 
-def _size_pmf_mass(p):
-    """The canonical sample-size randomizer mass 2^-p (p+1) log2(p+2)^2."""
-    return 2.0 ** (-p) * (p + 1.0) * math.log2(p + 2.0) ** 2
-
-
-def _log_weighted_level_mass(l):
-    """Summable level mass 2^-l (l+1) log2(l+2)^2 (level analog of the above)."""
-    return 2.0 ** (-l) * (l + 1.0) * math.log2(l + 2.0) ** 2
+def _log_weighted_mass(k):
+    """The summable mass 2^-k (k+1) log2(k+2)^2 of the canonical sample-size
+    pmf and of the log-weighted level pmf."""
+    return 2.0 ** (-k) * (k + 1.0) * math.log2(k + 2.0) ** 2
 
 
 @dataclass(frozen=True)
@@ -177,10 +173,10 @@ def make_theory_plan(beta, rho, n0, level_family="geometric"):
         rate = beta * rho
         level_pmf = Pmf.from_function(lambda l: 2.0 ** (-rate * l), bounded=False)
     elif level_family == "log_weighted":
-        level_pmf = Pmf.from_function(_log_weighted_level_mass, bounded=False)
+        level_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
     else:
         raise InvalidRate(f"unknown level family {level_family!r}")
-    p_pmf = Pmf.from_function(_size_pmf_mass, bounded=False)
+    p_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
     return RandomizationPlan(
         kind="theory",
         level_pmf=level_pmf,
@@ -234,13 +230,13 @@ def make_single_rand_plan(l_max, n0):
     matched-cost configuration used for comparisons.
     """
     if l_max is None:
-        level_pmf = Pmf.from_function(_log_weighted_level_mass, bounded=False)
+        level_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
         label = "unbiased"
     else:
         if int(l_max) != l_max or l_max < 0:
             raise InvalidRate(f"l_max must be a non-negative integer, got {l_max!r}")
         l_max = int(l_max)
-        level_pmf = Pmf([_log_weighted_level_mass(l) for l in range(l_max + 1)])
+        level_pmf = Pmf([_log_weighted_mass(l) for l in range(l_max + 1)])
         label = "bias-controlled"
     return RandomizationPlan(
         kind="single",
@@ -441,6 +437,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
         raise InvalidRate(f"the number of draws must be a positive integer, got {m!r}")
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown failure mode {mode!r}")
+    check_scheme(scheme)
     m = int(m)
     threads = check_threads(threads)
     root = RngStream(seed)

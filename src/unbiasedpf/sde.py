@@ -81,9 +81,9 @@ class DiffusionModel:
 class CostCounter:
     """Accumulates the number of Euler steps spent, summed over particles.
 
-    One particle advanced by one Euler step costs 1. Counters attached to
-    independent replicates are merged at reduction time, so the total is
-    deterministic regardless of worker count.
+    One particle advanced by one Euler step costs 1. Each draw or level
+    run keeps its own counter and returns its count as an int; the totals
+    are sums of those ints, so they do not depend on the worker count.
     """
 
     __slots__ = ("euler_steps",)
@@ -93,9 +93,6 @@ class CostCounter:
 
     def add(self, steps):
         self.euler_steps += int(steps)
-
-    def merge(self, other):
-        self.euler_steps += other.euler_steps
 
     def __repr__(self):
         return f"CostCounter(euler_steps={self.euler_steps})"
@@ -204,8 +201,10 @@ def _unit_transition(model, x, level, gen, counter=None):
 def transition(model, x, level, rng, counter=None):
     """Sample the level-l unit-time kernel M^l(x, .) for each state in x.
 
-    Draws all 2^l Gaussian increments in a single generator call, so the
-    stream consumption per particle batch is a fixed function of the level.
+    Draws the 2^l Gaussian increments in one generator call when they
+    number at most _MAX_BLOCK doubles, and otherwise in even groups of
+    steps (_step_groups); either way the stream consumption per particle
+    batch is a fixed function of the level and the batch shape.
 
     Parameters
     ----------

@@ -356,6 +356,17 @@ def test_main_exit_code_for_config_problems(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_main_rejects_unknown_scheme_from_config(tmp_path, capsys):
+    # a level-0 run starts no coupled filter; the scheme is still checked
+    data = _generate(tmp_path)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(f"scheme = antithetic\nlmax = 0\nm = 4\ndata = {data}\n")
+    out = tmp_path / "run"
+    assert main(["run-unbiased", "--config", str(cfg_path), "--out", str(out)]) == 1
+    assert not (out / "run_config.txt").exists()
+    assert "antithetic" in capsys.readouterr().err
+
+
 def test_main_exit_code_for_usage_errors(capsys):
     assert main(["run-unbiased", "--bogus-flag"]) == 1
     assert main(["run-mlpf", "--levels", "1,x"]) == 1

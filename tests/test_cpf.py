@@ -13,13 +13,13 @@ from unbiasedpf import (
     Level,
     batch_cpf_run,
     batch_pf_run,
-    init_coupled_system,
-    init_particle_system,
+    coupled_transition,
     maximal_coupling_resample,
+    transition,
     wasserstein_resample,
     RngStream,
 )
-from unbiasedpf.cpf import CoupledParticleSystem, cpf_step
+from unbiasedpf.cpf import cpf_step
 from unbiasedpf.errors import InvalidSimplex, UnsupportedDimension
 from unbiasedpf.pf import PfBatchEstimate, batch_estimate, normalized_weights, pf_step
 
@@ -149,9 +149,19 @@ def test_wasserstein_rejects_multidimensional_states():
         wasserstein_resample(gen, pos, w, pos, w, 8)
 
 
-def test_init_coupled_system_validates_scheme(ou):
+def test_init_coupled_system_validates_scheme(ou, ou_data_n3):
     with pytest.raises(ValueError):
-        init_coupled_system(ou.diffusion, Level(2), 8, RngStream(0), scheme="antithetic")
+        batch_cpf_run(ou, ou_data_n3, BatchSchedule(8), 0, Level(2), RngStream(0),
+                      scheme="antithetic")
+
+
+def _start(model, n):
+    return np.tile(np.asarray(model.initial_state, dtype=float), (n, 1))
+
+
+def _pf_reference(model, obs, level, n, y, gen):
+    x = transition(model, _start(model, n), level, gen)
+    return pf_step(model, level, gen, x, obs.log_g(x, y))
 
 
 @pytest.mark.parametrize("scheme", ["maximal", "wasserstein"])
@@ -161,24 +171,21 @@ def test_cpf_step_preserves_marginal_laws(ou, scheme):
     n = 20000
     y = 0.5
     level = Level(2)
-    coupled = init_coupled_system(
-        ou.diffusion, level, n, RngStream(41, (0,)), scheme=scheme
+    model, obs = ou.diffusion, ou.observation
+    gen = RngStream(41, (0,)).gen
+    start = _start(model, n)
+    xf, xc = coupled_transition(model, start, start, level, gen)
+    xf, xc = cpf_step(
+        model, level, gen, scheme, xf, xc, obs.log_g(xf, y), obs.log_g(xc, y)
     )
-    lg_f = ou.observation.log_g(coupled.fine, y)
-    lg_c = ou.observation.log_g(coupled.coarse, y)
-    stepped = cpf_step(coupled, lg_f, lg_c)
 
-    fine_ref = init_particle_system(ou.diffusion, Level(2), n, RngStream(42, (1,)))
-    fine_ref = pf_step(fine_ref, ou.observation.log_g(fine_ref.positions, y))
-    coarse_ref = init_particle_system(ou.diffusion, Level(1), n, RngStream(43, (2,)))
-    coarse_ref = pf_step(coarse_ref, ou.observation.log_g(coarse_ref.positions, y))
+    fine_ref = _pf_reference(model, obs, Level(2), n, y, RngStream(42, (1,)).gen)
+    coarse_ref = _pf_reference(model, obs, Level(1), n, y, RngStream(43, (2,)).gen)
 
-    _, p_f = stats.ks_2samp(stepped.fine[:, 0], fine_ref.positions[:, 0])
-    _, p_c = stats.ks_2samp(stepped.coarse[:, 0], coarse_ref.positions[:, 0])
+    _, p_f = stats.ks_2samp(xf[:, 0], fine_ref[:, 0])
+    _, p_c = stats.ks_2samp(xc[:, 0], coarse_ref[:, 0])
     assert p_f > 0.01
     assert p_c > 0.01
-    assert 0.0 <= stepped.diag.alpha <= 1.0
-    assert stepped.time_index == 1
 
 
 def test_increment_hand_values():
@@ -195,13 +202,9 @@ def test_increment_hand_values():
 
 def test_increment_vanishes_on_identical_clouds(ou):
     pos = np.linspace(-1, 1, 40).reshape(40, 1)
-    system = CoupledParticleSystem(
-        model=ou.diffusion, level=Level(1), fine=pos, coarse=pos.copy(),
-        time_index=0, stream=RngStream(0),
-    )
     fine, coarse = (
-        batch_estimate([system.n], [x], [ou.observation.log_g(x, 0.3)], ou.phi)
-        for x in system.clouds
+        batch_estimate([len(x)], [x], [ou.observation.log_g(x, 0.3)], ou.phi)
+        for x in (pos, pos.copy())
     )
     assert CpfBatchEstimate(fine, coarse).increment() == 0.0
 

@@ -11,14 +11,13 @@ from scipy import stats
 from unbiasedpf import (
     BatchSchedule,
     Level,
-    ParticleSystem,
     PfBatchEstimate,
     batch_cpf_run,
     batch_pf_run,
-    init_particle_system,
     multinomial_indices,
     normalized_weights,
     RngStream,
+    transition,
 )
 from unbiasedpf.errors import DegenerateWeights
 from unbiasedpf.observation import DataSet
@@ -113,19 +112,22 @@ def test_weighted_ratio_exactness():
         _weighted_ratio(np.full(3, -np.inf), np.ones(3))
 
 
+def _start(model, n):
+    return np.tile(np.asarray(model.initial_state, dtype=float), (n, 1))
+
+
 def test_filter_functional_on_live_system(ou):
-    sys_ = init_particle_system(ou.diffusion, Level(1), 200, RngStream(2, (0,)))
-    est = batch_estimate([sys_.n], sys_.clouds, [np.zeros(sys_.n)], ou.phi)
-    assert est.combined() == pytest.approx(float(sys_.positions[:, 0].mean()), abs=1e-12)
+    x = transition(ou.diffusion, _start(ou.diffusion, 200), Level(1), RngStream(2, (0,)))
+    est = batch_estimate([len(x)], [x], [np.zeros(len(x))], ou.phi)
+    assert est.combined() == pytest.approx(float(x[:, 0].mean()), abs=1e-12)
 
 
 def test_init_particle_system_hand_path(ou):
-    # at level 0 one unit transition from x* = 0 is just the noise itself
+    # a filter starts with one unit transition from x*; at level 0 from
+    # x* = 0 that is just the noise itself
     stub = StubGen(normals=[np.array([0.3, -0.3, 0.6])])
-    stream = type("S", (), {"gen": stub, "child": lambda self, *a: self})()
-    sys_ = init_particle_system(ou.diffusion, Level(0), 3, stream)
-    assert np.allclose(sys_.positions[:, 0], [0.3, -0.3, 0.6], atol=1e-15)
-    assert sys_.time_index == 0
+    x = transition(ou.diffusion, _start(ou.diffusion, 3), Level(0), stub)
+    assert np.allclose(x[:, 0], [0.3, -0.3, 0.6], atol=1e-15)
 
 
 def test_batch_prefix_is_bit_identical(ou, ou_data_n3):

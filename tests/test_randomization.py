@@ -288,6 +288,19 @@ def test_threads_guard(ou, ou_data_n3, threads):
         mlpf_estimate(ou, ou_data_n3, allocate(1, "constant"), threads=threads)
 
 
+def test_scheme_guard(ou, ou_data_n3):
+    # level-0-only runs start no coupled filter, so the scheme is checked
+    # before any draw rather than where a coupled batch starts
+    with pytest.raises(ValueError):
+        unbiased_estimate(make_truncated_plan(0, 10), ou, ou_data_n3, 10, seed=1,
+                          scheme="antithetic")
+    with pytest.raises(ValueError):
+        single_randomized_estimate(make_single_rand_plan(0, 10), ou, ou_data_n3, 10,
+                                   seed=1, scheme="antithetic")
+    with pytest.raises(ValueError):
+        mlpf_estimate(ou, ou_data_n3, allocate(0, "constant"), scheme="bogus")
+
+
 def test_cost_budget_guard(ou, ou_data_n3):
     plan = make_truncated_plan(2, 10)
     with pytest.raises(CostBudgetExceeded):
