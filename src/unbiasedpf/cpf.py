@@ -6,9 +6,9 @@ coupled scheme, so that the fine and coarse marginals are each an ordinary
 bootstrap filter while the pairs stay positively correlated. The object of
 interest is the increment: the fine filter functional minus the coarse one,
 whose variance shrinks with l and makes level randomization affordable.
-The batch loop is pf.run_batches: each batch is the pair of (N, d) arrays
-(fine, coarse), and each time step yields a CpfBatchEstimate, the fine and
-coarse PfBatchEstimate side by side.
+The batch loop is pf.run_batches over (R, N, d) stacks of R coupled
+filters, a batch being the pair (fine, coarse); each time step of a one-row
+run yields a CpfBatchEstimate, the fine and coarse PfBatchEstimate.
 
 Two resampling couplings are provided. The maximal coupling draws a shared
 ancestor with the largest probability the two weight vectors allow
@@ -23,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSimplex, UnsupportedDimension
-from .pf import PfBatchEstimate, inverse_cdf, normalized_weights, run_batches
-from .sde import coupled_transition
+from .pf import (PfBatchEstimate, gather, inverse_cdf, normalized_weights,
+                 row_estimates, run_batches)
+from .sde import coupled_transition, draw
 
 
 SCHEMES = ("wasserstein", "maximal")
@@ -58,6 +59,24 @@ class CouplingDiagnostics:
     matched_fraction: float
 
 
+def _maximal_row(wf, wc, u):
+    """One row of maximal-coupling index pairs from uniforms u, (4, size);
+    returns (idx_f, idx_c, alpha, matched_fraction)."""
+    m = np.minimum(wf, wc)
+    alpha = float(m.sum())
+    if 1.0 - alpha < 1e-14:
+        j = inverse_cdf(m / alpha, u[1])
+        return j, j.copy(), alpha, 1.0
+    if alpha <= 0.0:
+        return inverse_cdf(wf, u[2]), inverse_cdf(wc, u[3]), 0.0, 0.0
+    matched = u[0] < alpha
+    shared = inverse_cdf(m / alpha, u[1])
+    resid = 1.0 - alpha
+    idx_f = np.where(matched, shared, inverse_cdf((wf - m) / resid, u[2]))
+    idx_c = np.where(matched, shared, inverse_cdf((wc - m) / resid, u[3]))
+    return idx_f, idx_c, alpha, float(matched.mean())
+
+
 def maximal_coupling_resample(gen, w_fine, w_coarse, size):
     """Draw `size` ancestor index pairs from the maximal coupling.
 
@@ -72,26 +91,17 @@ def maximal_coupling_resample(gen, w_fine, w_coarse, size):
     wc = _check_simplex(w_coarse, "coarse weights")
     if wf.shape != wc.shape:
         raise InvalidSimplex("weight vectors must have matching lengths")
-    m = np.minimum(wf, wc)
-    alpha = float(m.sum())
-    u = gen.random((4, size))
+    idx_f, idx_c, alpha, frac = _maximal_row(wf, wc, gen.random((4, size)))
+    return idx_f, idx_c, CouplingDiagnostics(alpha, frac)
 
-    if 1.0 - alpha < 1e-14:
-        j = inverse_cdf(m / alpha, u[1])
-        return j, j.copy(), CouplingDiagnostics(alpha, 1.0)
 
-    if alpha <= 0.0:
-        idx_f = inverse_cdf(wf, u[2])
-        idx_c = inverse_cdf(wc, u[3])
-        return idx_f, idx_c, CouplingDiagnostics(0.0, 0.0)
-
-    matched = u[0] < alpha
-    shared = inverse_cdf(m / alpha, u[1])
-
-    resid = 1.0 - alpha
-    idx_f = np.where(matched, shared, inverse_cdf((wf - m) / resid, u[2]))
-    idx_c = np.where(matched, shared, inverse_cdf((wc - m) / resid, u[3]))
-    return idx_f, idx_c, CouplingDiagnostics(alpha, float(matched.mean()))
+def _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size):
+    """Comonotone index pairs for clouds and weights, or row by row for
+    (R, N, 1) stacks, (R, N) weights and a list of R generators."""
+    u = draw(gen, "random", (size,))
+    of = np.argsort(pos_fine[..., 0], axis=-1, kind="stable")
+    oc = np.argsort(pos_coarse[..., 0], axis=-1, kind="stable")
+    return gather(of, inverse_cdf(gather(wf, of), u)), gather(oc, inverse_cdf(gather(wc, oc), u))
 
 
 def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
@@ -109,26 +119,28 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
         raise UnsupportedDimension("Wasserstein resampling is only implemented for d=1")
     wf = _check_simplex(w_fine, "fine weights")
     wc = _check_simplex(w_coarse, "coarse weights")
-
-    u = gen.random(size)
-    of = np.argsort(pos_fine[:, 0], kind="stable")
-    oc = np.argsort(pos_coarse[:, 0], kind="stable")
-    idx_f = of[inverse_cdf(wf[of], u)]
-    idx_c = oc[inverse_cdf(wc[oc], u)]
-    return idx_f, idx_c
+    return _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size)
 
 
 def cpf_step(model, level, gen, scheme, xf, xc, log_w_fine, log_w_coarse,
              counter=None):
-    """One coupled filter step: coupled resampling, then coupled propagation."""
+    """One coupled filter step: coupled resampling, then coupled propagation
+    (also for (R, N, d) stacks, (R, N) log-weights and R generators). The
+    weights come from normalized_weights and are not validated again."""
     wf = normalized_weights(log_w_fine)
     wc = normalized_weights(log_w_coarse)
-    n = xf.shape[0]
+    n = xf.shape[-2]
     if scheme == "maximal":
-        idx_f, idx_c, _ = maximal_coupling_resample(gen, wf, wc, n)
+        u = draw(gen, "random", (4, n))
+        if xf.ndim == 2:
+            idx_f, idx_c, _, _ = _maximal_row(wf, wc, u)
+        else:  # each row takes its own branch
+            idx_f, idx_c = map(np.array, zip(*[_maximal_row(*a)[:2] for a in zip(wf, wc, u)]))
+    elif xf.shape[-1] != 1:
+        raise UnsupportedDimension("Wasserstein resampling is only implemented for d=1")
     else:
-        idx_f, idx_c = wasserstein_resample(gen, xf, wf, xc, wc, n)
-    return coupled_transition(model, xf[idx_f], xc[idx_c], level, gen, counter)
+        idx_f, idx_c = _wasserstein_indices(gen, xf, wf, xc, wc, n)
+    return coupled_transition(model, gather(xf, idx_f), gather(xc, idx_c), level, gen, counter)
 
 
 @dataclass(frozen=True)
@@ -147,6 +159,18 @@ class CpfBatchEstimate:
         return self.fine.combined(q) - self.coarse.combined(q)
 
 
+def cpf_rows(bm, data, schedule, p, level, streams, scheme, counter=None):
+    """run_batches of the coupled level-l filter on each stream, fine side
+    first; pairs start with one coupled transition away from x*."""
+    model = bm.diffusion
+    return run_batches(
+        bm, data, schedule, p, level, streams,
+        lambda gens, x: coupled_transition(model, x, x, level, gens, counter),
+        lambda gens, xf, xc, lw_f, lw_c: cpf_step(
+            model, level, gens, scheme, xf, xc, lw_f, lw_c, counter),
+    )
+
+
 def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
                   counter=None):
     """Run p+1 independent coupled batch filters over a dataset.
@@ -156,20 +180,5 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     cloud. Returns one CpfBatchEstimate per observation time.
     """
     check_scheme(scheme)
-    model = bm.diffusion
-    x0 = np.asarray(model.initial_state, dtype=float)
-    gens = [stream.child(q).gen for q in range(p + 1)]
-    batches = []
-    for gen, m in zip(gens, schedule.batch_sizes(p)):
-        start = np.tile(x0, (m, 1))
-        batches.append(coupled_transition(model, start, start, level, gen, counter))
-
-    def step(q, xf, xc, log_w_fine, log_w_coarse):
-        return cpf_step(
-            model, level, gens[q], scheme, xf, xc, log_w_fine, log_w_coarse, counter
-        )
-
-    return [
-        CpfBatchEstimate(fine, coarse)
-        for fine, coarse in run_batches(bm, data, p, level, batches, step)
-    ]
+    result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, counter)
+    return [CpfBatchEstimate(f, c) for f, c in row_estimates(result, schedule.batch_sizes(p))]

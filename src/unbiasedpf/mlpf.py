@@ -102,7 +102,8 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
             row = [e.increment(0) for e in ests]
         return row, counter.euler_steps
 
-    rows, steps = zip(*parallel_for(work, big_l + 1, threads))
+    costs = [cost_of_draw(l, 0, data.n, BatchSchedule(int(m))) for l, m in enumerate(alloc.sizes)]
+    rows, steps = zip(*parallel_for(work, big_l + 1, threads, costs))
     level_per_time = np.array(rows, dtype=float)
     per_time = level_per_time.sum(axis=0)
     return MlpfResult(alloc, per_time, level_per_time, int(sum(steps)))

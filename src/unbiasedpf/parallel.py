@@ -9,11 +9,14 @@ A draw is mostly interpreted Python, so threads would only contend for the
 interpreter lock. parallel_for instead forks its workers after `work`
 exists: each child inherits the closure, the model and the data, so nothing
 is pickled on the way in. Child c runs a fixed contiguous share of the
-indices and sends back, through a pipe, the pickled list of its results and
+indices, cut at equal cumulative cost when the caller gives each index's
+cost, and sends back, through a pipe, the pickled list of its results and
 the first error it hit. Children leave through os._exit, so they never
 flush the parent's stdio buffers or run its exit handlers.
 """
 
+import bisect
+import itertools
 import numbers
 import os
 import pickle
@@ -30,19 +33,33 @@ def check_threads(threads):
     return int(threads)
 
 
-def parallel_for(work, count, threads):
+def shares(costs, workers):
+    """Bounds of contiguous index shares, cut where the cumulative cost is
+    nearest to c/workers of the total (the lower index on a tie); empty
+    shares are dropped."""
+    cum = list(itertools.accumulate(costs, initial=0))
+    bounds = {0, len(costs)}
+    for c in range(1, workers):
+        target = cum[-1] * c / workers
+        i = bisect.bisect_left(cum, target)
+        bounds.add(i - 1 if i and target - cum[i - 1] <= cum[i] - target else i)
+    return sorted(bounds)
+
+
+def parallel_for(work, count, threads, costs=None):
     """Return [work(i) for i in range(count)], computed on worker processes.
 
     min(threads, count, os.cpu_count()) workers run; with one, or where
-    os.fork does not exist, this is a plain loop. An error is raised as the
-    loop would raise it: the error of the lowest failing index, with the
-    same type and attributes. A worker that dies without reporting raises
-    ChildProcessError.
+    os.fork does not exist, this is a plain loop. shares() cuts the workers'
+    shares at equal cumulative cost (costs[i] for index i, else 1). An error
+    is raised as the loop would raise it: the error of the lowest failing
+    index, with the same type and attributes. A worker that dies without
+    reporting raises ChildProcessError.
     """
     workers = min(threads, count, os.cpu_count() or 1)
     if workers <= 1 or not hasattr(os, "fork"):
         return [work(i) for i in range(count)]
-    bounds = [count * c // workers for c in range(workers + 1)]
+    bounds = shares([1] * count if costs is None else costs, workers)
     # A child inherits unflushed stdio buffers; a warning it prints would
     # flush the parent's pending text a second time.
     sys.stdout.flush()

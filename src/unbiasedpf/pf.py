@@ -12,67 +12,73 @@ each batch's self-normalized ratio by its size, which reproduces a single
 N_q-particle average in expectation while letting a randomized estimator
 reuse the batches shared by consecutive prefixes.
 
-One per-time loop, run_batches, serves both this filter and the coupled
-filter of cpf: a batch is a tuple of plain arrays, one cloud here and a
-fine/coarse pair there, and each cloud side gets its own PfBatchEstimate
-per observation time.
+One per-time loop, run_batches, serves this filter and the coupled one of
+cpf and runs R independent filters as stacked rows: a batch is a tuple of
+(R, N_q, d) arrays, one cloud here and a fine/coarse pair there. Each row
+is bit-identical to its one-row run (batch_pf_run is that call).
 """
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .errors import DegenerateWeights
-from .sde import transition
+from .sde import draw, overflow_error, transition
+
+_ZERO_MASS = "combined batch estimate has zero mass"
 
 
-def _check_log_max(m, level=None, p=None, time_index=None):
-    """Raise DegenerateWeights unless the log-weight maximum m is finite.
-
-    NaN or +inf means some log-weight is non-finite; -inf means every
-    weight underflowed. The error carries whatever context is passed in.
-    """
-    if math.isnan(m) or m == math.inf:
-        raise DegenerateWeights(
-            "non-finite log-weights", level=level, p=p, time_index=time_index
-        )
-    if m == -math.inf:
-        raise DegenerateWeights(
-            "all log-weights underflowed", level=level, p=p, time_index=time_index
-        )
+def _log_max_error(m, level=None, p=None, time_index=None):
+    """The DegenerateWeights for a log-weight maximum m that is not finite:
+    -inf means every weight underflowed, NaN or +inf a non-finite log-weight."""
+    what = "all log-weights underflowed" if m == -math.inf else "non-finite log-weights"
+    return DegenerateWeights(what, level=level, p=p, time_index=time_index)
 
 
-def normalized_weights(log_w, level=None, p=None, time_index=None):
-    """Normalize log-weights to a probability vector, via max-subtraction.
+def normalized_weights(log_w):
+    """Normalize log-weights (an (R, N) array row by row) via max-subtraction.
 
-    Raises DegenerateWeights (with whatever context was passed in) when all
-    weights underflow or any log-weight is NaN/+inf.
+    Raises DegenerateWeights when all weights of a row underflow or any
+    log-weight is NaN/+inf.
     """
     lw = np.asarray(log_w, dtype=float)
     if lw.size == 0:
         raise ValueError("empty weight vector")
-    m = lw.max()
-    _check_log_max(m, level, p, time_index)
+    m = lw.max(axis=-1, keepdims=True)
+    if not np.isfinite(m).all():
+        raise _log_max_error(float(m[~np.isfinite(m)][0]))
     w = np.exp(lw - m)
-    s = w.sum()
-    if not math.isfinite(s) or s <= 0.0:
-        raise DegenerateWeights(
-            "weight normalization failed", level=level, p=p, time_index=time_index
-        )
+    s = w.sum(axis=-1, keepdims=True)
+    if not 0.0 < s.min() < math.inf:
+        raise DegenerateWeights("weight normalization failed")
     return w / s
 
 
 def inverse_cdf(weights, u):
-    """Indices drawn by pushing uniforms u through a weight vector's CDF."""
-    cum = np.cumsum(weights)
-    cum[-1] = 1.0
-    return np.searchsorted(cum, u, side="right")
+    """Indices drawn by pushing uniforms u through a weight vector's CDF,
+    row by row for (R, N) weights and (R, size) uniforms."""
+    cum = np.cumsum(weights, axis=-1)
+    cum[..., -1] = 1.0
+    if cum.ndim == 1:
+        return cum.searchsorted(u, side="right")
+    return np.array([c.searchsorted(v, side="right") for c, v in zip(cum, u)])
 
 
 def multinomial_indices(gen, weights, size):
-    """Draw `size` ancestor indices i.i.d. from a normalized weight vector."""
-    return inverse_cdf(weights, gen.random(size))
+    """Draw `size` ancestor indices i.i.d. from a normalized weight vector
+    (per row of (R, N) weights, with gen a list of R generators)."""
+    return inverse_cdf(weights, draw(gen, "random", (size,)))
+
+
+def gather(x, idx):
+    """x[idx] for 1-D indices; for (R, M) indices each row's x[r][idx[r]]."""
+    if idx.ndim == 1:
+        return x[idx]
+    rows, n = x.shape[:2]
+    flat = x.reshape((rows * n,) + x.shape[2:])
+    return flat.take(idx + np.arange(0, rows * n, n)[:, None], axis=0)
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,10 @@ class BatchSchedule:
 
 
 def pf_step(model, level, gen, x, log_w, counter=None):
-    """One filter step: multinomial resampling by log_w, then propagate."""
-    idx = multinomial_indices(gen, normalized_weights(log_w), x.shape[0])
-    return transition(model, x[idx], level, gen, counter)
+    """One filter step: multinomial resampling by log_w, then propagate
+    (also for an (R, N, d) stack, (R, N) log_w and R generators)."""
+    idx = multinomial_indices(gen, normalized_weights(log_w), x.shape[-2])
+    return transition(model, gather(x, idx), level, gen, counter)
 
 
 @dataclass(frozen=True)
@@ -124,71 +131,152 @@ class PfBatchEstimate:
         num = float(np.dot(sizes, self.num[: q + 1]))
         den = float(np.dot(sizes, self.den[: q + 1]))
         if den <= 0.0 or not np.isfinite(den):
-            raise DegenerateWeights(
-                "combined batch estimate has zero mass",
-                p=q,
-                time_index=self.time_index,
-            )
+            raise DegenerateWeights(_ZERO_MASS, p=q, time_index=self.time_index)
         return num / den
 
 
-def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0):
-    """The PfBatchEstimate of phi over one cloud per batch.
+def combined_rows(sizes, num, den, q, errors):
+    """PfBatchEstimate.combined(q), shape (R, n, sides), of run_batches'
+    (n, sides, R, p+1) batch values. Rows in `errors` are skipped; a row with
+    zero combined mass gets the DegenerateWeights of its first such time."""
+    s = np.asarray(sizes[: q + 1], dtype=float)
 
-    All batches share one scale, the largest log-weight, which is checked
-    by _check_log_max with the given (l, p, k) context.
-    """
-    shift = max(float(lg.max()) for lg in log_gs)
-    _check_log_max(shift, level, p, time_index)
-    num = np.empty(len(clouds))
-    den = np.empty(len(clouds))
+    def dots(x):
+        x = x[..., : q + 1].transpose(2, 0, 1, 3)
+        if q == 0:
+            return 0.0 + s[0] * x[..., 0]  # np.dot of one pair, to the bit
+        # np.dot row by row: a batched product rounds differently
+        rows = x.reshape(-1, q + 1)
+        return np.fromiter((np.dot(s, v) for v in rows), float, len(rows)).reshape(x.shape[:-1])
+
+    total = dots(den)
+    good = (0.0 < total) & (total < math.inf)
+    out = np.divide(dots(num), total, out=np.zeros(total.shape), where=good)
+    for r in np.flatnonzero(~good.all(axis=(1, 2))).tolist():
+        k = int(np.argwhere(~good[r])[0, 0])
+        errors.setdefault(r, DegenerateWeights(_ZERO_MASS, p=q, time_index=k))
+    return out
+
+
+def _shared_scale(log_gs):
+    """Each row's largest log-weight over the batches, as Python's max over
+    the batch maxima finds it: a NaN maximum after batch 0 is passed over."""
+    shift = log_gs[0].max(axis=-1)
+    for m in (lg.max(axis=-1) for lg in log_gs[1:]):
+        shift = np.where(m > shift, m, shift)
+    return shift
+
+
+def _batch_values(clouds, log_gs, phi, shift):
+    """Per-batch particle means of g * phi and g, g = exp(log g - shift)."""
+    sh = np.asarray(shift)[..., None]
+    num = np.empty(sh.shape[:-1] + (len(clouds),))
+    den = np.empty_like(num)
     for q, (x, lg) in enumerate(zip(clouds, log_gs)):
         # sum / size is np.mean's own arithmetic without its call overhead
-        g = np.exp(lg - shift)
-        gphi = g * np.asarray(phi(x), dtype=float)
-        num[q] = gphi.sum() / gphi.size
-        den[q] = g.sum() / g.size
-    return PfBatchEstimate(
-        np.asarray(sizes), num, den, scale=shift, time_index=time_index
-    )
+        g = np.exp(lg - sh)
+        gphi = g * np.asarray(phi(x.reshape(-1, x.shape[-1])), dtype=float).reshape(lg.shape)
+        num[..., q] = gphi.sum(axis=-1) / lg.shape[-1]
+        den[..., q] = g.sum(axis=-1) / lg.shape[-1]
+    return num, den
 
 
-def run_batches(bm, data, p, level, batches, step):
-    """Filter independent batches over a dataset, one time at a time.
+def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0):
+    """The PfBatchEstimate of phi over one (N_q, d) cloud per batch; their
+    shared scale is the largest log-weight, checked with (l, p, k) context."""
+    shift = float(_shared_scale(log_gs))
+    if not math.isfinite(shift):
+        raise _log_max_error(shift, level, p, time_index)
+    num, den = _batch_values(clouds, log_gs, phi, shift)
+    return PfBatchEstimate(np.asarray(sizes), num, den, scale=shift, time_index=time_index)
 
-    Each batch is a tuple of (N_q, d) clouds, the same number for every
-    batch. At each observation time every cloud is weighted by log_g, each
-    cloud side gets a batch_estimate of the benchmark's test functional
-    bm.phi across the batches, and, except after the last observation,
-    step(q, *clouds, *log_weights) resamples and propagates batch q into
-    its next tuple of clouds.
 
-    Returns one list per observation time with one PfBatchEstimate per
-    cloud side.
+def run_batches(bm, data, schedule, p, level, streams, start, step):
+    """Filter p+1 independent batches for each stream, one row per stream.
+
+    Batch q of row r draws from streams[r].child(q) and has
+    schedule.batch_sizes(p)[q] particles. start(gens, x) turns x* tiled as
+    x into the batch's tuple of (R, N_q, d) clouds, one or (fine, coarse).
+    At each time every cloud is weighted by log_g, each side gets its batch
+    values of bm.phi and, but after the last time, step(gens, *clouds,
+    *log_weights) resamples and propagates each batch. A failing row leaves
+    the stack; errors[row] is the error its run alone raises there. Returns
+    (num, den, scale, errors), num and den (n, sides, R, p+1) and scale
+    (n, sides, R); a failed row's entries are meaningless.
     """
-    obs = bm.observation
-    sizes = [clouds[0].shape[0] for clouds in batches]
-    out = []
-    n = data.n
+    obs, model = bm.observation, bm.diffusion
+    x0 = np.asarray(model.initial_state, dtype=float)
+    n, count, d = data.n, len(streams), model.dim
+    gens = np.array([[s.child(q).gen for s in streams] for q in range(p + 1)], dtype=object)
+    live, errors = np.arange(count), {}
+    batches = [[] for _ in range(p + 1)]  # batch q's row-stacked arrays
+
+    def drop(bad, errs):
+        nonlocal live, batches
+        errors.update(zip(live[bad].tolist(), errs if isinstance(errs, list) else repeat(errs)))
+        live = live[~bad]
+        batches = [[a[~bad] for a in arrays] for arrays in batches]
+
+    def advance(q, advanced):
+        batches[q] = list(advanced)
+        bad = ~np.logical_and.reduce([np.isfinite(c).all(axis=(1, 2)) for c in advanced])
+        if bad.any():
+            drop(bad, overflow_error(model, level, coupled=len(advanced) == 2))
+
+    for q, size in enumerate(schedule.batch_sizes(p)):
+        if len(live):
+            advance(q, start(gens[q][live].tolist(), np.tile(x0, (len(live), size, 1))))
+    sides = len(batches[0])
+    num, den = np.zeros((2, n, sides, count, p + 1))
+    scale = np.zeros((n, sides, count))
     for k in range(n):
-        y = data.y[k]
-        sides = list(zip(*batches))
-        logs = [[obs.log_g(x, y) for x in side] for side in sides]
-        out.append([
-            batch_estimate(sizes, side, lg, bm.phi, level.l, p, k)
-            for side, lg in zip(sides, logs)
-        ])
-        if k < n - 1:
+        if not len(live):
+            break
+        for arrays in batches:  # log_g of each (R*N, d) view
+            arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
+                              for x in arrays[:sides]]
+        for side in range(sides):
+            shift = _shared_scale([arrays[sides + side] for arrays in batches])
+            bad = ~np.isfinite(shift)
+            if bad.any():
+                drop(bad, [_log_max_error(m, level.l, p, k) for m in shift[bad].tolist()])
+                shift = shift[~bad]
+            clouds, logs = zip(*[arrays[side::sides] for arrays in batches])
+            num[k, side, live], den[k, side, live] = _batch_values(clouds, logs, bm.phi, shift)
+            scale[k, side, live] = shift
+        for q in range(p + 1 if k < n - 1 else 0):
+            if not len(live):
+                break
             try:
-                batches = [
-                    step(q, *clouds, *lw)
-                    for q, (clouds, lw) in enumerate(zip(batches, zip(*logs)))
-                ]
-            except DegenerateWeights as err:
-                raise DegenerateWeights(
-                    "batch filter lost all weight", level=level.l, p=p, time_index=k
-                ) from err
-    return out
+                advance(q, step(gens[q][live].tolist(), *batches[q]))
+            except DegenerateWeights:  # raised before the step draws: drop, step the rest
+                logs = batches[q][sides:]
+                bad = ~np.logical_and.reduce([np.isfinite(lw.max(axis=-1)) for lw in logs])
+                lost = "batch filter lost all weight"
+                drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
+                if len(live):
+                    advance(q, step(gens[q][live].tolist(), *batches[q]))
+    return num, den, scale, errors
+
+
+def row_estimates(result, sizes):
+    """A one-row run_batches result as PfBatchEstimates [time][side], or its error."""
+    num, den, scale, errors = result
+    if errors:
+        raise errors[0]
+    sizes = np.asarray(sizes)
+    return [[PfBatchEstimate(sizes, num[k, s, 0], den[k, s, 0], float(scale[k, s, 0]), k)
+             for s in range(num.shape[1])] for k in range(num.shape[0])]
+
+
+def pf_rows(bm, data, schedule, p, level, streams, counter=None):
+    """run_batches of the level-l filter; counter counts one row's Euler steps."""
+    model = bm.diffusion
+    return run_batches(
+        bm, data, schedule, p, level, streams,
+        lambda gens, x: (transition(model, x, level, gens, counter),),
+        lambda gens, x, log_w: (pf_step(model, level, gens, x, log_w, counter),),
+    )
 
 
 def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
@@ -202,15 +290,5 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     estimates the filter at observation count k+1. Resampling after the
     last observation is skipped since nothing consumes it.
     """
-    model = bm.diffusion
-    x0 = np.asarray(model.initial_state, dtype=float)
-    gens = [stream.child(q).gen for q in range(p + 1)]
-    batches = [
-        (transition(model, np.tile(x0, (m, 1)), level, gen, counter),)
-        for gen, m in zip(gens, schedule.batch_sizes(p))
-    ]
-
-    def step(q, x, log_w):
-        return (pf_step(model, level, gens[q], x, log_w, counter),)
-
-    return [est for (est,) in run_batches(bm, data, p, level, batches, step)]
+    result = pf_rows(bm, data, schedule, p, level, [stream], counter)
+    return [est for (est,) in row_estimates(result, schedule.batch_sizes(p))]

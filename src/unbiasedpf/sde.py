@@ -14,7 +14,8 @@ is what makes coupled filter increments have small variance.
 
 States are arrays with the coordinate dimension last, either (d,) for one
 state or (N, d) for a batch of particles. Everything here is vectorized
-over the batch axis.
+over the batch axis, and the kernels also advance an (R, N, d) stack of R
+batches, row r drawing from the r-th of a list of R generators.
 """
 
 from dataclasses import dataclass
@@ -99,7 +100,8 @@ class CostCounter:
 
 
 def _as_batch(x, dim):
-    """View `x` as a (N, d) batch, returning the batch and a flag to undo it."""
+    """View `x` as a (N, d) batch (a stack stays as it is), returning the
+    batch and a flag to undo it."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         if dim != 1:
@@ -165,65 +167,57 @@ _MAX_BLOCK = 2 ** 21
 
 
 def _step_groups(steps, n, d):
-    per_step = max(n * d, 1)
-    group = max(2, min(steps, (2 * _MAX_BLOCK) // (2 * per_step) * 2))
-    out = []
-    s = 0
-    while s < steps:
-        g = min(group, steps - s)
-        out.append(g)
-        s += g
+    group = max(2, min(steps, (2 * _MAX_BLOCK) // (2 * max(n * d, 1)) * 2))
+    return [min(group, steps - s) for s in range(0, steps, group)]
+
+
+def draw(rng, method, shape):
+    """`shape` from one generator, or (R,) + shape from a list of R, one
+    call each filling its row in place."""
+    if not isinstance(rng, (list, tuple)):
+        return getattr(getattr(rng, "gen", rng), method)(shape)
+    out = np.empty((len(rng),) + tuple(shape))
+    for row, gen in zip(out, rng):
+        getattr(gen, method)(shape, out=row)
     return out
 
 
-def _unit_transition(model, x, level, gen, counter=None):
-    """Advance a (N, d) batch one unit of time at the given level."""
-    steps = level.steps_per_unit
-    dt = level.dt
-    n, d = x.shape
-    sqdt = np.sqrt(dt)
-    drift = model.drift
-    diffusion = model.diffusion
-    b = diffusion(x) if model.constant_diffusion else None
-    for g in _step_groups(steps, n, d):
-        dw = gen.standard_normal((g, n, d)) * sqdt
-        for s in range(g):
-            x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[s])
-    if counter is not None:
-        counter.add(n * steps)
-    if not np.isfinite(x).all():
-        raise NumericalOverflow(
-            f"level-{level.l} transition overflowed for model {model.name!r}"
-        )
-    return x
+def overflow_error(model, level, coupled=False):
+    """The NumericalOverflow of a level-l transition that left the finite range."""
+    kind = "coupled level" if coupled else "level"
+    return NumericalOverflow(f"{kind}-{level.l} transition overflowed for model {model.name!r}")
 
 
 def transition(model, x, level, rng, counter=None):
     """Sample the level-l unit-time kernel M^l(x, .) for each state in x.
 
-    Draws the 2^l Gaussian increments in one generator call when they
-    number at most _MAX_BLOCK doubles, and otherwise in even groups of
-    steps (_step_groups); either way the stream consumption per particle
-    batch is a fixed function of the level and the batch shape.
-
-    Parameters
-    ----------
-    model : DiffusionModel
-    x : ndarray
-        State(s), shape (d,) or (N, d).
-    level : Level
-    rng : numpy Generator or RngStream
-    counter : CostCounter, optional
-        Incremented by N * 2^l Euler steps.
-
-    Returns
-    -------
-    ndarray of the same shape as x.
+    x is (d,), (N, d) or an (R, N, d) stack; rng is a Generator or RngStream,
+    or a list of R Generators for a stack. The 2^l Gaussian increments come
+    in one generator call when they number at most _MAX_BLOCK doubles, else
+    in even groups of steps (_step_groups), so stream consumption is a fixed
+    function of the level and the batch shape. counter, if given, gains
+    N * 2^l Euler steps (one row's, for a stack). Returns an array shaped
+    like x; overflow raises NumericalOverflow, except that a stack is
+    returned unchecked for its caller to drop the failed rows.
     """
-    gen = getattr(rng, "gen", rng)
-    xb, squeeze = _as_batch(x, model.dim)
-    out = _unit_transition(model, xb, level, gen, counter)
-    return out[0] if squeeze else out
+    x, squeeze = _as_batch(x, model.dim)
+    steps = level.steps_per_unit
+    dt = level.dt
+    n, d = x.shape[-2:]
+    sqdt = np.sqrt(dt)
+    drift = model.drift
+    diffusion = model.diffusion
+    b = diffusion(x) if model.constant_diffusion else None
+    for g in _step_groups(steps, n, d):
+        dw = draw(rng, "standard_normal", (g, n, d))
+        dw *= sqdt
+        for s in range(g):
+            x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[..., s, :, :])
+    if counter is not None:
+        counter.add(n * steps)
+    if x.ndim == 2 and not np.isfinite(x).all():
+        raise overflow_error(model, level)
+    return x[0] if squeeze else x
 
 
 def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
@@ -232,34 +226,20 @@ def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
     The fine chain runs 2^l steps of size 2^-l on fresh increments; the
     coarse chain runs 2^(l-1) steps of size 2^-(l-1) on the pairwise sums of
     those increments. Marginally each chain is exactly its single-level
-    kernel; jointly they form the synchronous coupling M-check^l.
-
-    Parameters
-    ----------
-    model : DiffusionModel
-    x_fine, x_coarse : ndarray
-        States of matching shape, (d,) or (N, d).
-    level : Level
-        The fine level l; must satisfy l >= 1.
-    rng : numpy Generator or RngStream
-    counter : CostCounter, optional
-        Incremented by N * (2^l + 2^(l-1)) Euler steps.
-
-    Returns
-    -------
-    (fine, coarse) : pair of ndarrays shaped like the inputs.
+    kernel; jointly they form the synchronous coupling M-check^l. The fine
+    level l must be >= 1. Shapes, rng and overflow are as in transition;
+    counter gains N * (2^l + 2^(l-1)) Euler steps. Returns (fine, coarse).
     """
     if level.l < 1:
         raise InvalidLevel("coupled transitions need a fine level l >= 1")
-    gen = getattr(rng, "gen", rng)
     xf, squeeze = _as_batch(x_fine, model.dim)
-    xc, squeeze_c = _as_batch(x_coarse, model.dim)
+    xc, _ = _as_batch(x_coarse, model.dim)
     if xf.shape != xc.shape:
         raise ValueError("fine and coarse states must have matching shapes")
 
     steps = level.steps_per_unit
     dt = level.dt
-    n, d = xf.shape
+    n, d = xf.shape[-2:]
     sqdt = np.sqrt(dt)
     dt_c = 2.0 * dt
 
@@ -270,21 +250,22 @@ def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
     # Step groups are even, so fine-increment pairs never straddle a group
     # boundary and the coarse chain can be advanced group by group.
     for g in _step_groups(steps, n, d):
-        dw = gen.standard_normal((g, n, d)) * sqdt
+        dw = draw(rng, "standard_normal", (g, n, d))
+        dw *= sqdt
         for s in range(g):
             bf = b_const if b_const is not None else diffusion(xf)
-            xf = _euler_update(xf, drift, dt, bf, dw[s])
-        dw_c = dw[0::2] + dw[1::2]
+            xf = _euler_update(xf, drift, dt, bf, dw[..., s, :, :])
+        dw_c = dw[..., 0::2, :, :] + dw[..., 1::2, :, :]
         for s in range(g // 2):
             bc = b_const if b_const is not None else diffusion(xc)
-            xc = _euler_update(xc, drift, dt_c, bc, dw_c[s])
+            xc = _euler_update(xc, drift, dt_c, bc, dw_c[..., s, :, :])
 
     if counter is not None:
         counter.add(n * (steps + steps // 2))
+    if xf.ndim == 3:
+        return xf, xc
     if not (np.isfinite(xf).all() and np.isfinite(xc).all()):
-        raise NumericalOverflow(
-            f"coupled level-{level.l} transition overflowed for model {model.name!r}"
-        )
+        raise overflow_error(model, level, coupled=True)
     if squeeze:
         return xf[0], xc[0]
     return xf, xc

@@ -4,9 +4,12 @@ import os
 import signal
 import time
 
+import numpy as np
 import pytest
 
-from unbiasedpf.parallel import parallel_for
+from unbiasedpf import (BatchSchedule, allocate, cost_of_draw, generate_data, make_benchmark,
+                        make_truncated_plan, mlpf_estimate, unbiased_estimate)
+from unbiasedpf.parallel import parallel_for, shares
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -71,3 +74,33 @@ def test_interrupted_parent_kills_and_reaps_its_workers(two_cpus):
     assert time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_shares_cut_at_equal_cumulative_cost():
+    assert shares([1] * 7, 2) == [0, 3, 7]
+    assert shares([1] * 10, 3) == [0, 3, 7, 10]
+    assert shares([1, 1, 1, 1, 10], 2) == [0, 4, 5]
+    assert shares([100, 1, 1], 2) == [0, 1, 3]  # nearest, not first past half
+    assert shares([5, 5], 3) == [0, 1, 2]  # empty shares are dropped
+    assert shares([0, 0], 2) == [0, 2]
+    # the 2-way split of a 6-level MLPF: 135168 n Euler steps at most,
+    # against 147456 n for equal counts
+    alloc = allocate(6, "nonconstant")
+    costs = [cost_of_draw(l, 0, 1, BatchSchedule(int(m))) for l, m in enumerate(alloc.sizes)]
+    bounds = shares(costs, 2)
+    assert bounds == [0, 4, 7]
+    assert max(sum(costs[a:b]) for a, b in zip(bounds, bounds[1:])) == 135168
+
+
+def test_cost_balanced_runs_equal_serial_runs(two_cpus):
+    ou = make_benchmark("OU")
+    data = generate_data(ou, 3, level="exact", seed=5)
+    one, two = (mlpf_estimate(ou, data, allocate(3, "nonconstant"), seed=2, threads=t)
+                for t in (1, 2))
+    assert np.array_equal(one.level_per_time, two.level_per_time)
+    assert one.total_cost == two.total_cost
+    plan = make_truncated_plan(3, 10)
+    one, two = (unbiased_estimate(plan, ou, data, 50, seed=2, threads=t) for t in (1, 2))
+    assert all(np.array_equal(one.draws[c], two.draws[c]) for c in one.draws)
+    assert np.array_equal(one.per_time, two.per_time)
+    assert np.array_equal(one.per_time_stderr, two.per_time_stderr)

@@ -1,7 +1,10 @@
 """Randomization plans, single draws, and the debiased estimators."""
 
+import json
 import math
 import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,9 +30,13 @@ from unbiasedpf import (
     unbiased_estimate,
     RngStream,
 )
-from unbiasedpf.errors import CostBudgetExceeded, DegenerateWeights, InvalidRate
+from unbiasedpf import randomization
+from unbiasedpf.cpf import SCHEMES
+from unbiasedpf.errors import (CostBudgetExceeded, DegenerateWeights, InvalidRate,
+                               NumericalOverflow)
 from unbiasedpf.observation import DataSet
-from unbiasedpf.randomization import _sample_indices
+from unbiasedpf.randomization import _MAX_RETRIES, _sample_indices
+from unbiasedpf.rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE
 
 
 def test_pmf_normalization_and_mass():
@@ -352,3 +359,124 @@ def test_retry_streams_are_deterministic():
     b = unbiased_estimate(plan, nld, data, 10, seed=3, mode="permissive", threads=4)
     assert a.value == b.value
     assert a.retries == b.retries
+
+
+def test_randomized_table_mean_validates_the_draw_count():
+    plan = make_truncated_plan(2, 10)
+    table = np.arange(9.0).reshape(3, 3)
+    for bad in (0, -3, 2.5):
+        with pytest.raises(InvalidRate):
+            randomized_table_mean(plan, table, bad, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = randomized_table_mean(plan, table, 1, seed=1, with_stderr=True)
+    assert math.isfinite(mean) and math.isnan(se)
+
+
+def test_draws_equal_recorded_values(ou, ou_data, nld, nld_data):
+    # float.hex values recorded when every draw still ran as its own
+    # filter; the stacked cells must reproduce every bit
+    golden = json.loads((Path(__file__).parent / "golden_draws.json").read_text())
+    for name, bm, data in (("OU", ou, ou_data), ("NLD", nld, nld_data)):
+        for scheme in SCHEMES:
+            for kind, run, plan in (
+                ("double", unbiased_estimate, make_truncated_plan(3, 10)),
+                ("single", single_randomized_estimate, make_single_rand_plan(3, 10)),
+            ):
+                est = run(plan, bm, data, 40, seed=3, scheme=scheme)
+                want = golden[f"{name}-{scheme}-{kind}"]
+                assert [v.hex() for v in est.per_time.tolist()] == want["per_time"]
+                assert [v.hex() for v in est.draws["xi"].tolist()] == want["xi"]
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("model", ["OU", "NLD"])
+def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, model):
+    # each stacked row must be its draw run alone, for any chunk size
+    if rows is not None:
+        monkeypatch.setattr(randomization, "_chunk_rows", lambda *args: rows)
+    bm = make_benchmark(model)
+    data = DataSet(y=ou_data_n3.y, model=model)
+    root = RngStream(8)
+    for scheme in SCHEMES:
+        plan = make_truncated_plan(3, 4)
+        est = unbiased_estimate(plan, bm, data, 80, seed=8, scheme=scheme)
+        cells = set(zip(est.draws["l"].tolist(), est.draws["p"].tolist()))
+        assert cells == {(l, p) for l in range(4) for p in range(4 - l)}
+        alone = [draw_xi(plan, bm, data, l, p, root.child(i + 1, ROLE_FILTER), scheme)
+                 for i, (l, p) in enumerate(zip(est.draws["l"].tolist(), est.draws["p"].tolist()))]
+        _assert_same_draws(est, alone)
+
+        single = make_single_rand_plan(3, 4)
+        est = single_randomized_estimate(single, bm, data, 40, seed=8, scheme=scheme)
+        assert set(est.draws["l"].tolist()) == {0, 1, 2, 3}
+        alone = [draw_xi_single(single, bm, data, l, root.child(i + 1, ROLE_SINGLE), scheme)
+                 for i, l in enumerate(est.draws["l"].tolist())]
+        _assert_same_draws(est, alone)
+
+
+def _assert_same_draws(est, samples, retries=0):
+    assert est.draws["xi"].tolist() == [s.xi for s in samples]
+    assert est.draws["cost"].tolist() == [s.cost for s in samples]
+    traces = np.array([s.trace for s in samples])
+    per_time = np.sum(est.draws["weight"][:, None] * traces, axis=0) / est.m
+    assert np.array_equal(est.per_time, per_time)
+    assert est.retries == retries
+
+
+def _log_link_case(y):
+    # NLD observed through an unguarded log link: negative states give NaN
+    # log-weights, so draws fail in several cells
+    nld = make_benchmark("NLD", link="log")
+    return nld, DataSet(y=y, model="NLD"), make_truncated_plan(1, 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("y,seed,message", [
+    ([1.0, 0.5], 4, "non-finite log-weights (l=1, p=0, k=0)"),
+    # a NaN only in the second batch: the shared scale stays finite, and
+    # the combined estimate has zero mass
+    ([0.0], 1, "combined batch estimate has zero mass (p=1, k=0)"),
+])
+def test_strict_mode_raises_the_lowest_failing_draw_across_cells(y, seed, message):
+    nld, data, plan = _log_link_case(y)
+    root = RngStream(seed)
+    ls, ps = _sample_indices(plan, root.child(0, ROLE_PLAN).gen, 10)
+    errors = {}
+    for i, (l, p) in enumerate(zip(ls.tolist(), ps.tolist())):
+        try:
+            draw_xi(plan, nld, data, l, p, root.child(i + 1, ROLE_FILTER))
+        except (DegenerateWeights, NumericalOverflow) as err:
+            errors[i] = ((l, p), err)
+    first = min(errors)
+    # a failing draw with a higher index sits in a cell that runs first
+    assert any(cell < errors[first][0] for i, (cell, _) in errors.items() if i > first)
+    for threads in (1, 2):
+        with pytest.raises(DegenerateWeights) as info:
+            unbiased_estimate(plan, nld, data, 10, seed=seed, threads=threads)
+        want = errors[first][1]
+        assert str(info.value) == str(want) == message
+        assert (info.value.level, info.value.p, info.value.time_index) == (
+            want.level, want.p, want.time_index)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_permissive_retries_equal_a_per_draw_loop():
+    nld, data, plan = _log_link_case([0.0])
+    root = RngStream(1)
+    est = unbiased_estimate(plan, nld, data, 10, seed=1, mode="permissive")
+    samples, retries = [], 0
+    for i, (l, p) in enumerate(zip(est.draws["l"].tolist(), est.draws["p"].tolist())):
+        stream = root.child(i + 1, ROLE_FILTER)
+        for attempt in range(_MAX_RETRIES + 1):
+            try:
+                samples.append(draw_xi(plan, nld, data, l, p, stream))
+                break
+            except (DegenerateWeights, NumericalOverflow):
+                stream = root.child(i + 1, ROLE_RETRY, attempt + 1)
+        retries += attempt
+    assert retries > 10
+    _assert_same_draws(est, samples, retries)
+    assert len(set(zip(est.draws["l"].tolist(), est.draws["p"].tolist()))) == 3
+    two = unbiased_estimate(plan, nld, data, 10, seed=1, mode="permissive", threads=2)
+    assert np.array_equal(two.per_time, est.per_time) and two.retries == est.retries
