@@ -31,7 +31,7 @@ def increment_variance(bm, data, level, pairs, repeats, scheme, seed):
     for r in range(repeats):
         out = batch_cpf_run(bm, data, BatchSchedule(pairs), 0, Level(level),
                             RngStream(seed, (level, r)), scheme=scheme)
-        values[r] = out[-1].increment(0)
+        values[r] = out[-1, 0]
     return values.var(ddof=1)
 
 

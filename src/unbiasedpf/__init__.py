@@ -14,7 +14,6 @@ unbiasedpf.errors.
 
 from .costs import cost_of_draw, single_rand_draw_cost
 from .cpf import (
-    CpfBatchEstimate,
     batch_cpf_run,
     maximal_coupling_resample,
     wasserstein_resample,
@@ -32,7 +31,6 @@ from .observation import (
 )
 from .pf import (
     BatchSchedule,
-    PfBatchEstimate,
     batch_pf_run,
     multinomial_indices,
     normalized_weights,
@@ -64,11 +62,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BatchSchedule",
     "CostCounter",
-    "CpfBatchEstimate",
     "DataSet",
     "Level",
     "ObservationModel",
-    "PfBatchEstimate",
     "Pmf",
     "RngStream",
     "allocate",

@@ -314,8 +314,7 @@ def run_reference(cfg):
 
         def work(r):
             stream = RngStream(params["seed"], (r, ROLE_REFERENCE))
-            ests = batch_pf_run(bm, data, sched, 0, level, stream)
-            return [e.combined(0) for e in ests]
+            return batch_pf_run(bm, data, sched, 0, level, stream)[:, 0]
 
         vals = np.array(parallel_for(work, repeats, cfg.get("threads", 1)), dtype=float)
         means = vals.mean(axis=0)
@@ -446,6 +445,7 @@ def run_mlpf(cfg):
     seed = cfg.get("seed", 1)
     threads = cfg.get("threads", 1)
     scheme = cfg.get("scheme", "wasserstein")
+    allocs = [allocate(int(big_l), regime, c1) for big_l in levels]
     out = _ensure_out(cfg)
 
     ref = None
@@ -454,9 +454,7 @@ def run_mlpf(cfg):
 
     run_rows = []
     mse_rows = []
-    for big_l in levels:
-        alloc = allocate(int(big_l), regime, c1)
-
+    for big_l, alloc in zip(levels, allocs):
         def work(r, alloc=alloc):
             res = mlpf_estimate(
                 bm, data, alloc,
@@ -499,6 +497,8 @@ def run_sweep(cfg):
     data = _load_data(cfg)
     bm = _benchmark_for(cfg, data)
     levels = cfg.get("levels", (2, 3, 4, 5, 6))
+    if any(l < 1 for l in levels):
+        raise InvalidLevel("variance sweeps need coupled levels l >= 1")
     particles = cfg.get("particles", 500 if cfg.get("desk", False) else 1000)
     repeats = cfg.get("repeats", 100)
     seed = cfg.get("seed", 1)
@@ -509,13 +509,9 @@ def run_sweep(cfg):
 
     rows = []
     for l in levels:
-        if l < 1:
-            raise InvalidLevel("variance sweeps need coupled levels l >= 1")
-
         def work(r, l=l):
             stream = RngStream(seed, (r, ROLE_SWEEP, l))
-            ests = batch_cpf_run(bm, data, sched, 0, Level(l), stream, scheme)
-            return ests[-1].increment(0)
+            return batch_cpf_run(bm, data, sched, 0, Level(l), stream, scheme)[-1, 0]
 
         vals = np.array(parallel_for(work, repeats, threads), dtype=float)
         rows.append(

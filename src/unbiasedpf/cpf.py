@@ -7,8 +7,8 @@ bootstrap filter while the pairs stay positively correlated. The object of
 interest is the increment: the fine filter functional minus the coarse one,
 whose variance shrinks with l and makes level randomization affordable.
 The batch loop is pf.run_batches over (R, N, d) stacks of R coupled
-filters, a batch being the pair (fine, coarse); each time step of a one-row
-run yields a CpfBatchEstimate, the fine and coarse PfBatchEstimate.
+filters, a batch being the pair (fine, coarse); pf.combined_rows forms each
+side's size-weighted estimate, and the increment is fine minus coarse.
 
 Two resampling couplings are provided. The maximal coupling draws a shared
 ancestor with the largest probability the two weight vectors allow
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSimplex, UnsupportedDimension
-from .pf import (PfBatchEstimate, gather, inverse_cdf, normalized_weights,
-                 row_estimates, run_batches)
+from .pf import combined_table, gather, inverse_cdf, normalized_weights, run_batches
 from .sde import coupled_transition, draw
 
 
@@ -143,22 +142,6 @@ def cpf_step(model, level, gen, scheme, xf, xc, log_w_fine, log_w_coarse,
     return coupled_transition(model, gather(xf, idx_f), gather(xc, idx_c), level, gen, counter)
 
 
-@dataclass(frozen=True)
-class CpfBatchEstimate:
-    """Per-batch functional pieces of a coupled filter at one time step.
-
-    The fine and coarse PfBatchEstimate keep separate shared scales; the
-    increment is the size-weighted fine ratio minus the size-weighted
-    coarse ratio.
-    """
-
-    fine: PfBatchEstimate
-    coarse: PfBatchEstimate
-
-    def increment(self, q=None):
-        return self.fine.combined(q) - self.coarse.combined(q)
-
-
 def cpf_rows(bm, data, schedule, p, level, streams, scheme, counter=None):
     """run_batches of the coupled level-l filter on each stream, fine side
     first; pairs start with one coupled transition away from x*."""
@@ -177,8 +160,10 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
 
     The batch layout, child streams and prefix property mirror
     batch_pf_run; each batch carries a fine/coarse pair instead of one
-    cloud. Returns one CpfBatchEstimate per observation time.
+    cloud. Returns the (n, p+1) array of increments: entry [k, q] is the
+    fine combined estimate through batch q minus the coarse one.
     """
     check_scheme(scheme)
     result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, counter)
-    return [CpfBatchEstimate(f, c) for f, c in row_estimates(result, schedule.batch_sizes(p))]
+    both = combined_table(result, schedule.batch_sizes(p))
+    return both[:, 0] - both[:, 1]

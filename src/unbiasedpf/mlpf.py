@@ -95,12 +95,10 @@ def mlpf_estimate(bm, data, alloc, seed=0, scheme="wasserstein", threads=1,
         sched = BatchSchedule(int(alloc.sizes[l]))
         counter = CostCounter()
         if l == 0:
-            ests = batch_pf_run(bm, data, sched, 0, Level(0), sub, counter)
-            row = [e.combined(0) for e in ests]
+            row = batch_pf_run(bm, data, sched, 0, Level(0), sub, counter)
         else:
-            ests = batch_cpf_run(bm, data, sched, 0, Level(l), sub, scheme, counter)
-            row = [e.increment(0) for e in ests]
-        return row, counter.euler_steps
+            row = batch_cpf_run(bm, data, sched, 0, Level(l), sub, scheme, counter)
+        return row[:, 0], counter.euler_steps
 
     costs = [cost_of_draw(l, 0, data.n, BatchSchedule(int(m))) for l, m in enumerate(alloc.sizes)]
     rows, steps = zip(*parallel_for(work, big_l + 1, threads, costs))

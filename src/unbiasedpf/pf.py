@@ -15,7 +15,9 @@ reuse the batches shared by consecutive prefixes.
 One per-time loop, run_batches, serves this filter and the coupled one of
 cpf and runs R independent filters as stacked rows: a batch is a tuple of
 (R, N_q, d) arrays, one cloud here and a fine/coarse pair there. Each row
-is bit-identical to its one-row run (batch_pf_run is that call).
+is bit-identical to its one-row run (batch_pf_run is that call). Every
+size-weighted combination, for a stack or one row, is combined_rows; the
+one-row calls return its values as a plain (n, p+1) array.
 """
 
 import math
@@ -108,37 +110,11 @@ def pf_step(model, level, gen, x, log_w, counter=None):
     return transition(model, gather(x, idx), level, gen, counter)
 
 
-@dataclass(frozen=True)
-class PfBatchEstimate:
-    """Per-batch numerators and denominators of a filter functional.
-
-    num[q] and den[q] are the batch-q particle means of exp(log g - scale)
-    times phi and of exp(log g - scale); `scale` is one shared offset, so
-    ratios across batches are consistent. combined(q) is the size-weighted
-    ratio through batch q.
-    """
-
-    batch_sizes: np.ndarray
-    num: np.ndarray
-    den: np.ndarray
-    scale: float = 0.0
-    time_index: int = 0
-
-    def combined(self, q=None):
-        if q is None:
-            q = len(self.num) - 1
-        sizes = np.asarray(self.batch_sizes[: q + 1], dtype=float)
-        num = float(np.dot(sizes, self.num[: q + 1]))
-        den = float(np.dot(sizes, self.den[: q + 1]))
-        if den <= 0.0 or not np.isfinite(den):
-            raise DegenerateWeights(_ZERO_MASS, p=q, time_index=self.time_index)
-        return num / den
-
-
 def combined_rows(sizes, num, den, q, errors):
-    """PfBatchEstimate.combined(q), shape (R, n, sides), of run_batches'
-    (n, sides, R, p+1) batch values. Rows in `errors` are skipped; a row with
-    zero combined mass gets the DegenerateWeights of its first such time."""
+    """The size-weighted ratio through batch q, sum_j N_j num_j / sum_j N_j den_j
+    for j <= q, shape (R, n, sides), of run_batches' (n, sides, R, p+1) batch
+    values. A row with zero combined mass, unless already in `errors`, gets
+    the DegenerateWeights of its first such time there."""
     s = np.asarray(sizes[: q + 1], dtype=float)
 
     def dots(x):
@@ -181,16 +157,6 @@ def _batch_values(clouds, log_gs, phi, shift):
     return num, den
 
 
-def batch_estimate(sizes, clouds, log_gs, phi, level=None, p=None, time_index=0):
-    """The PfBatchEstimate of phi over one (N_q, d) cloud per batch; their
-    shared scale is the largest log-weight, checked with (l, p, k) context."""
-    shift = float(_shared_scale(log_gs))
-    if not math.isfinite(shift):
-        raise _log_max_error(shift, level, p, time_index)
-    num, den = _batch_values(clouds, log_gs, phi, shift)
-    return PfBatchEstimate(np.asarray(sizes), num, den, scale=shift, time_index=time_index)
-
-
 def run_batches(bm, data, schedule, p, level, streams, start, step):
     """Filter p+1 independent batches for each stream, one row per stream.
 
@@ -201,8 +167,8 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
     values of bm.phi and, but after the last time, step(gens, *clouds,
     *log_weights) resamples and propagates each batch. A failing row leaves
     the stack; errors[row] is the error its run alone raises there. Returns
-    (num, den, scale, errors), num and den (n, sides, R, p+1) and scale
-    (n, sides, R); a failed row's entries are meaningless.
+    (num, den, errors), num and den (n, sides, R, p+1); a failed row's
+    entries are meaningless.
     """
     obs, model = bm.observation, bm.diffusion
     x0 = np.asarray(model.initial_state, dtype=float)
@@ -228,7 +194,6 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
             advance(q, start(gens[q][live].tolist(), np.tile(x0, (len(live), size, 1))))
     sides = len(batches[0])
     num, den = np.zeros((2, n, sides, count, p + 1))
-    scale = np.zeros((n, sides, count))
     for k in range(n):
         if not len(live):
             break
@@ -243,7 +208,6 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
                 shift = shift[~bad]
             clouds, logs = zip(*[arrays[side::sides] for arrays in batches])
             num[k, side, live], den[k, side, live] = _batch_values(clouds, logs, bm.phi, shift)
-            scale[k, side, live] = shift
         for q in range(p + 1 if k < n - 1 else 0):
             if not len(live):
                 break
@@ -256,17 +220,18 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
                 drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
                 if len(live):
                     advance(q, step(gens[q][live].tolist(), *batches[q]))
-    return num, den, scale, errors
+    return num, den, errors
 
 
-def row_estimates(result, sizes):
-    """A one-row run_batches result as PfBatchEstimates [time][side], or its error."""
-    num, den, scale, errors = result
+def combined_table(result, sizes):
+    """combined_rows of a one-row run_batches result for every q, shape
+    (n, sides, p+1). Raises the row's error, or else the zero-mass error of
+    the lowest such q."""
+    num, den, errors = result
+    out = np.stack([combined_rows(sizes, num, den, q, errors)[0] for q in range(len(sizes))], -1)
     if errors:
         raise errors[0]
-    sizes = np.asarray(sizes)
-    return [[PfBatchEstimate(sizes, num[k, s, 0], den[k, s, 0], float(scale[k, s, 0]), k)
-             for s in range(num.shape[1])] for k in range(num.shape[0])]
+    return out
 
 
 def pf_rows(bm, data, schedule, p, level, streams, counter=None):
@@ -286,9 +251,9 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     bit-identical to the smaller run) and size schedule.batch_sizes(p)[q];
     its particles start with one level-l transition away from x*.
 
-    Returns a list with one PfBatchEstimate per observation time; entry k
-    estimates the filter at observation count k+1. Resampling after the
-    last observation is skipped since nothing consumes it.
+    Returns an (n, p+1) array: entry [k, q] is the combined estimate
+    through batch q of the filter at observation count k+1. Resampling
+    after the last observation is skipped since nothing consumes it.
     """
     result = pf_rows(bm, data, schedule, p, level, [stream], counter)
-    return [est for (est,) in row_estimates(result, schedule.batch_sizes(p))]
+    return combined_table(result, schedule.batch_sizes(p))[:, 0]

@@ -295,7 +295,7 @@ def _run_cell(plan, bm, data, l, p, streams, scheme, single):
     counter = CostCounter()
     sched, lvl = plan.schedule, Level(l)
     if not single:
-        num, den, _, errors = (
+        num, den, errors = (
             pf_rows(bm, data, sched, p, lvl, streams, counter) if l == 0
             else cpf_rows(bm, data, sched, p, lvl, streams, scheme, counter))
 
@@ -306,12 +306,12 @@ def _run_cell(plan, bm, data, l, p, streams, scheme, single):
         prev = increments(p - 1) if p > 0 else 0.0
         return (increments(p) - prev) / plan.pmf_p(l).mass(p), counter.euler_steps, errors
     first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
-    num, den, _, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams], counter)
+    num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams], counter)
     traces = combined_rows(first.batch_sizes(0), num, den, 0, errors)[:, :, 0]
     live = [r for r in range(len(streams)) if r not in errors]
     if l and live:
         sub = [streams[r].child(1) for r in live]
-        num, den, _, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counter)
+        num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counter)
         both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errs)
         errors.update((live[j], err) for j, err in errs.items())
         a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
@@ -321,6 +321,10 @@ def _run_cell(plan, bm, data, l, p, streams, scheme, single):
 
 def _one_draw(plan, bm, data, l, p, stream, scheme, single):
     """The XiSample of one draw: the one-row call of _run_cell."""
+    if plan.level_pmf.mass(l) <= 0.0:
+        raise InvalidRate(f"level {l} carries no mass under this plan")
+    if not single and plan.pmf_p(l).mass(p) <= 0.0:
+        raise InvalidRate(f"index p={p} carries no mass at level {l}")
     check_scheme(scheme)
     traces, cost, errors = _run_cell(plan, bm, data, l, p, [stream], scheme, single)
     if errors:
@@ -337,8 +341,6 @@ def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
     the conditional mass P_P(p | l); the level weight 1/P_L(l) is reported
     separately as `weight`.
     """
-    if plan.pmf_p(l).mass(p) <= 0.0:
-        raise InvalidRate(f"index p={p} carries no mass at level {l}")
     return _one_draw(plan, bm, data, l, p, stream, scheme, single=False)
 
 

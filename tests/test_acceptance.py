@@ -93,7 +93,7 @@ def test_criterion_3_telescoping_oracles(ou, ou_data):
     )
     b_vals = np.array(
         [batch_cpf_run(ou, ou_data, plan.schedule, p_top, Level(level),
-                       RngStream(22, (i,)))[-1].increment(p_top)
+                       RngStream(22, (i,)))[-1, p_top]
          for i in range(10 ** 3)]
     )
     ma, sa = a_vals.mean(), a_vals.std(ddof=1) / math.sqrt(len(a_vals))
@@ -109,10 +109,8 @@ def test_criterion_3_telescoping_oracles(ou, ou_data):
 
     def increment_at(l, stream):
         if l == 0:
-            return batch_pf_run(ou, ou_data, plan_b.schedule, 0, Level(0),
-                                stream)[-1].combined(0)
-        return batch_cpf_run(ou, ou_data, plan_b.schedule, 0, Level(l),
-                             stream)[-1].increment(0)
+            return batch_pf_run(ou, ou_data, plan_b.schedule, 0, Level(0), stream)[-1, 0]
+        return batch_cpf_run(ou, ou_data, plan_b.schedule, 0, Level(l), stream)[-1, 0]
 
     ls = plan_b.level_pmf.sample(RngStream(31, (0,)).gen, 10 ** 4)
     rand_vals = np.array(
@@ -192,8 +190,7 @@ def test_criterion_5_variance_decay_rates(ou, ou_data, nld, nld_data):
             vals = np.empty(reps)
             for r in range(reps):
                 stream = RngStream(3, (r, ROLE_SWEEP, l))
-                ests = batch_cpf_run(bm, data, sched, 0, Level(l), stream, "maximal")
-                vals[r] = ests[-1].increment(0)
+                vals[r] = batch_cpf_run(bm, data, sched, 0, Level(l), stream, "maximal")[-1, 0]
             rows.append((l, vals.var(ddof=1)))
         ls = np.array([r[0] for r in rows], dtype=float)
         lv = np.log2([r[1] for r in rows])

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from unbiasedpf import cli
 from unbiasedpf.cli import (
     ExperimentConfig,
     _merged,
@@ -385,6 +386,26 @@ def test_main_exit_code_for_numerical_failures(tmp_path, capsys):
                  "--out", str(tmp_path / "s")])
     assert code == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_every_level_is_checked_before_the_first_runs(tmp_path, monkeypatch, capsys):
+    # a bad entry anywhere in --levels fails before any level is filtered
+    # and before the output directory is made
+    data = _generate(tmp_path)
+
+    def no_filter(*args, **kwargs):
+        raise AssertionError("a level ran before every level was checked")
+
+    monkeypatch.setattr(cli, "mlpf_estimate", no_filter)
+    monkeypatch.setattr(cli, "batch_cpf_run", no_filter)
+    assert main(["run-mlpf", "--data", data, "--levels", "4,-1", "--repeats", "2",
+                 "--out", str(tmp_path / "m")]) == 1
+    assert "max_level" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
+    assert main(["sweep-variance", "--data", data, "--levels", "6,0", "--particles", "20",
+                 "--repeats", "2", "--out", str(tmp_path / "s")]) == 2
+    assert "coupled levels" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_main_exit_code_for_io_failures(tmp_path, capsys):

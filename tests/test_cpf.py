@@ -9,7 +9,6 @@ from scipy import stats
 
 from unbiasedpf import (
     BatchSchedule,
-    CpfBatchEstimate,
     Level,
     batch_cpf_run,
     batch_pf_run,
@@ -21,7 +20,7 @@ from unbiasedpf import (
 )
 from unbiasedpf.cpf import cpf_step
 from unbiasedpf.errors import InvalidSimplex, UnsupportedDimension
-from unbiasedpf.pf import PfBatchEstimate, batch_estimate, normalized_weights, pf_step
+from unbiasedpf.pf import _batch_values, _shared_scale, combined_rows, normalized_weights, pf_step
 
 from _oracles import StubGen
 
@@ -188,45 +187,49 @@ def test_cpf_step_preserves_marginal_laws(ou, scheme):
     assert p_c > 0.01
 
 
+def _fine_coarse(sizes, num, den, q):
+    # combined_rows of one time and row with sides (fine, coarse): the
+    # (1, 2, 1, p+1) layout of a coupled run's batch values
+    errors = {}
+    out = combined_rows(sizes, np.reshape(num, (1, 2, 1, -1)), np.reshape(den, (1, 2, 1, -1)),
+                        q, errors)
+    assert errors == {}
+    return out[0, 0]
+
+
 def test_increment_hand_values():
-    sizes = np.array([2, 4])
-    est = CpfBatchEstimate(
-        fine=PfBatchEstimate(sizes, num=np.array([1.0, 2.0]), den=np.array([1.0, 1.0])),
-        coarse=PfBatchEstimate(sizes, num=np.array([0.5, 0.5]), den=np.array([1.0, 1.0])),
-    )
-    assert est.fine.combined(1) == pytest.approx(5.0 / 3.0, abs=1e-15)
-    assert est.coarse.combined(1) == pytest.approx(0.5, abs=1e-15)
-    assert est.increment(1) == pytest.approx(5.0 / 3.0 - 0.5, abs=1e-15)
-    assert est.increment(0) == pytest.approx(0.5, abs=1e-15)
+    sizes = [2, 4]
+    num, den = [[1.0, 2.0], [0.5, 0.5]], [[1.0, 1.0], [1.0, 1.0]]
+    fine, coarse = _fine_coarse(sizes, num, den, 1)
+    assert fine == pytest.approx(5.0 / 3.0, abs=1e-15)
+    assert coarse == pytest.approx(0.5, abs=1e-15)
+    assert fine - coarse == pytest.approx(5.0 / 3.0 - 0.5, abs=1e-15)
+    fine, coarse = _fine_coarse(sizes, num, den, 0)
+    assert fine - coarse == pytest.approx(0.5, abs=1e-15)
 
 
 def test_increment_vanishes_on_identical_clouds(ou):
-    pos = np.linspace(-1, 1, 40).reshape(40, 1)
-    fine, coarse = (
-        batch_estimate([len(x)], [x], [ou.observation.log_g(x, 0.3)], ou.phi)
-        for x in (pos, pos.copy())
-    )
-    assert CpfBatchEstimate(fine, coarse).increment() == 0.0
+    pos = np.linspace(-1, 1, 40).reshape(1, 40, 1)
+    lg = ou.observation.log_g(pos[0], 0.3)[None]
+    num, den = zip(*(_batch_values([x], [lg], ou.phi, _shared_scale([lg]))
+                     for x in (pos, pos.copy())))
+    fine, coarse = _fine_coarse([40], num, den, 0)
+    assert fine - coarse == 0.0
 
 
 def test_batch_cpf_prefix_is_bit_identical(ou, ou_data_n3):
     sched = BatchSchedule(8)
     small = batch_cpf_run(ou, ou_data_n3, sched, 1, Level(2), RngStream(44, (0,)))
     big = batch_cpf_run(ou, ou_data_n3, sched, 2, Level(2), RngStream(44, (0,)))
-    for e_small, e_big in zip(small, big):
-        assert np.allclose(
-            e_small.fine.num / e_small.fine.den,
-            e_big.fine.num[:2] / e_big.fine.den[:2],
-            atol=1e-12,
-        )
-        for q in range(2):
-            assert e_small.increment(q) == pytest.approx(e_big.increment(q), abs=1e-12)
+    assert small.shape == (3, 2) and big.shape == (3, 3)
+    for q in range(2):
+        assert small[:, q] == pytest.approx(big[:, q], abs=1e-12)
 
 
 def test_batch_cpf_run_deterministic(ou, ou_data_n3):
     a = batch_cpf_run(ou, ou_data_n3, BatchSchedule(16), 1, Level(3), RngStream(45, (2,)))
     b = batch_cpf_run(ou, ou_data_n3, BatchSchedule(16), 1, Level(3), RngStream(45, (2,)))
-    assert all(x.increment(1) == y.increment(1) for x, y in zip(a, b))
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("scheme", ["maximal", "wasserstein"])
@@ -238,10 +241,9 @@ def test_increment_variance_shrinks_with_level(ou, ou_data_n3, scheme):
     for l in (2, 5):
         vals = np.empty(reps)
         for r in range(reps):
-            ests = batch_cpf_run(
+            vals[r] = batch_cpf_run(
                 ou, ou_data_n3, sched, 0, Level(l), RngStream(46, (r, l)), scheme
-            )
-            vals[r] = ests[-1].increment(0)
+            )[-1, 0]
         var[l] = vals.var(ddof=1)
     assert var[5] < var[2]
 
@@ -261,7 +263,6 @@ def test_coupled_estimates_track_filter_difference(ou, ou_data_n3):
     sched = BatchSchedule(1500)
     vals = np.empty(reps)
     for r in range(reps):
-        ests = batch_cpf_run(ou, ou_data_n3, sched, 0, Level(2), RngStream(47, (r,)))
-        vals[r] = ests[-1].increment(0)
+        vals[r] = batch_cpf_run(ou, ou_data_n3, sched, 0, Level(2), RngStream(47, (r,)))[-1, 0]
     se = vals.std(ddof=1) / math.sqrt(reps)
     assert abs(vals.mean() - gap) < 4 * se + 1e-3

@@ -1,5 +1,8 @@
 """Multilevel particle filter baseline."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from _oracles import linear_gaussian_filter, ou_euler_coeffs
@@ -12,6 +15,7 @@ from unbiasedpf import (
     mlpf_cost,
     mlpf_estimate,
 )
+from unbiasedpf.cpf import SCHEMES, batch_cpf_run
 from unbiasedpf.errors import InvalidRate
 from unbiasedpf.pf import batch_pf_run
 from unbiasedpf.rng import ROLE_MLPF
@@ -46,10 +50,9 @@ def test_level_zero_run_matches_plain_filter(ou, ou_data):
 
     sub = RngStream(40, (0, ROLE_MLPF)).child(0)
     counter = CostCounter()
-    ests = batch_pf_run(
+    direct = batch_pf_run(
         ou, ou_data, BatchSchedule(int(alloc.sizes[0])), 0, Level(0), sub, counter
-    )
-    direct = np.array([e.combined(0) for e in ests])
+    )[:, 0]
     assert np.array_equal(res.per_time, direct)
     assert res.total_cost == counter.euler_steps
 
@@ -110,3 +113,30 @@ def test_maximal_scheme_accepted(ou, ou_data):
     alloc = allocate(2, "constant", c1=4.0)
     res = mlpf_estimate(ou, ou_data, alloc, seed=5, scheme="maximal")
     assert np.all(np.isfinite(res.per_time))
+
+
+def test_one_row_runs_equal_recorded_values(ou, ou_data, nld, nld_data):
+    # float.hex values recorded when the one-row runs still returned one
+    # estimate object per time; the plain arrays must reproduce every bit
+    golden = json.loads((Path(__file__).parent / "golden_rows.json").read_text())
+
+    def hexes(table):
+        return [[v.hex() for v in row] for row in np.asarray(table).tolist()]
+
+    sched = BatchSchedule(16)
+    for name, bm, data in (("OU", ou, ou_data), ("NLD", nld, nld_data)):
+        for l in (0, 2, 3):
+            for p in range(3):
+                got = batch_pf_run(bm, data, sched, p, Level(l), RngStream(7, (l, p)))
+                assert hexes(got) == golden[f"{name}-pf-l{l}-p{p}"]
+        for scheme in SCHEMES:
+            for l in (2, 3):
+                for p in range(3):
+                    got = batch_cpf_run(bm, data, sched, p, Level(l), RngStream(7, (l, p)), scheme)
+                    assert hexes(got) == golden[f"{name}-cpf-{scheme}-l{l}-p{p}"]
+            for regime in ("constant", "nonconstant"):
+                for seed in (1, 2):
+                    res = mlpf_estimate(bm, data, allocate(3, regime), seed=seed, scheme=scheme)
+                    want = golden[f"{name}-mlpf-{scheme}-{regime}-s{seed}"]
+                    assert hexes(res.level_per_time) == want["level_per_time"]
+                    assert res.total_cost == want["total_cost"]

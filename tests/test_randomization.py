@@ -204,6 +204,20 @@ def test_draw_xi_single_contracts(ou, ou_data_n3):
         assert s.xi == s.trace[-1]
 
 
+def test_draws_reject_levels_without_mass(ou, ou_data_n3, monkeypatch):
+    # a level outside the plan's support fails at the boundary, before any
+    # filter runs, for both kinds of draw
+    def no_filter(*args):
+        raise AssertionError("a filter ran")
+
+    monkeypatch.setattr(randomization, "_run_cell", no_filter)
+    for l in (4, -1):
+        with pytest.raises(InvalidRate, match=f"level {l} carries no mass"):
+            draw_xi(make_truncated_plan(3, 10), ou, ou_data_n3, l, 0, RngStream(72))
+        with pytest.raises(InvalidRate, match=f"level {l} carries no mass"):
+            draw_xi_single(make_single_rand_plan(3, 10), ou, ou_data_n3, l, RngStream(72))
+
+
 def test_sample_indices_respect_supports():
     plan = make_truncated_plan(4, 10)
     gen = RngStream(5, (0,)).gen
