@@ -16,6 +16,8 @@ ancestor with the largest probability the two weight vectors allow
 draws otherwise. The Wasserstein coupling (scalar states only) pushes one
 shared uniform through both weighted empirical quantile functions, which
 keeps resampled pairs close in position rather than merely equal in index.
+Positions are ranked by quicksort, and by a stable sort only where a cloud
+has tied positions, so the rank is always the stable one.
 """
 
 from dataclasses import dataclass
@@ -23,7 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSimplex, UnsupportedDimension
-from .pf import combined_table, gather, inverse_cdf, normalized_weights, run_batches
+from .pf import (
+    _search_sorted,
+    _sorted_rows,
+    combined_table,
+    gather,
+    inverse_cdf,
+    normalized_weights,
+    run_batches,
+)
 from .sde import coupled_transition, draw
 
 
@@ -94,13 +104,25 @@ def maximal_coupling_resample(gen, w_fine, w_coarse, size):
     return idx_f, idx_c, CouplingDiagnostics(alpha, frac)
 
 
+def _rank(pos):
+    """The stable argsort of (N, 1) or (R, N, 1) positions along the
+    particles. Without ties the sorting permutation is unique, so the
+    quicksort one is it; a tie (-0.0 == 0.0 is one) falls back to stable."""
+    x = pos[..., 0]
+    order = x.argsort(axis=-1)
+    s = gather(x, order)
+    if not (s[..., 1:] > s[..., :-1]).all():
+        order = x.argsort(axis=-1, kind="stable")
+    return order
+
+
 def _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size):
     """Comonotone index pairs for clouds and weights, or row by row for
     (R, N, 1) stacks, (R, N) weights and a list of R generators."""
-    u = draw(gen, "random", (size,))
-    of = np.argsort(pos_fine[..., 0], axis=-1, kind="stable")
-    oc = np.argsort(pos_coarse[..., 0], axis=-1, kind="stable")
-    return gather(of, inverse_cdf(gather(wf, of), u)), gather(oc, inverse_cdf(gather(wc, oc), u))
+    keys, pos = _sorted_rows(draw(gen, "random", (size,)))
+    of, oc = _rank(pos_fine), _rank(pos_coarse)
+    return (gather(of, _search_sorted(gather(wf, of), keys, pos)),
+            gather(oc, _search_sorted(gather(wc, oc), keys, pos)))
 
 
 def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
@@ -114,10 +136,12 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
     """
     pos_fine = np.asarray(pos_fine, dtype=float)
     pos_coarse = np.asarray(pos_coarse, dtype=float)
-    if pos_fine.ndim != 2 or pos_fine.shape[1] != 1 or pos_coarse.shape[1] != 1:
+    if any(pos.ndim != 2 or pos.shape[1] != 1 for pos in (pos_fine, pos_coarse)):
         raise UnsupportedDimension("Wasserstein resampling is only implemented for d=1")
     wf = _check_simplex(w_fine, "fine weights")
     wc = _check_simplex(w_coarse, "coarse weights")
+    if len(wf) != len(pos_fine) or len(wc) != len(pos_coarse):
+        raise InvalidSimplex("each weight vector must have one entry per particle of its cloud")
     return _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size)
 
 

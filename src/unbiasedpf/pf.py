@@ -58,14 +58,38 @@ def normalized_weights(log_w):
     return w / s
 
 
+def _sorted_rows(u):
+    """u's rows, each sorted, and where their entries sit in u: for (R, size)
+    uniforms flat positions with row offsets, as in gather."""
+    order = u.argsort(axis=-1)  # quicksort: equal keys find equal indices
+    if u.ndim == 2:
+        order += np.arange(0, u.size, u.shape[1])[:, None]
+    return u.take(order), order
+
+
+def _search_sorted(weights, keys, pos):
+    """inverse_cdf(weights, u) from _sorted_rows(u) = (keys, pos)."""
+    cum = weights.cumsum(axis=-1)
+    cum[..., -1] = 1.0
+    out = np.empty(keys.shape, dtype=np.intp)
+    if cum.ndim == 1:
+        out.put(pos, cum.searchsorted(keys, side="right"))
+    else:
+        out.put(pos, np.concatenate([c.searchsorted(k, side="right") for c, k in zip(cum, keys)]))
+    return out
+
+
 def inverse_cdf(weights, u):
     """Indices drawn by pushing uniforms u through a weight vector's CDF,
-    row by row for (R, N) weights and (R, size) uniforms."""
-    cum = np.cumsum(weights, axis=-1)
-    cum[..., -1] = 1.0
-    if cum.ndim == 1:
-        return cum.searchsorted(u, side="right")
-    return np.array([c.searchsorted(v, side="right") for c, v in zip(cum, u)])
+    row by row for (R, N) weights and (R, size) uniforms.
+
+    Needs weights >= 0 and u in [0, 1). Then the running sum never
+    decreases and its last entry, set to 1.0, exceeds every u, so
+    cum[j] <= u holds on a prefix of j alone and a binary search finds the
+    same index for a uniform whatever order the uniforms come in: each
+    row's uniforms are searched in sorted order and scattered back.
+    """
+    return _search_sorted(weights, *_sorted_rows(u))
 
 
 def multinomial_indices(gen, weights, size):

@@ -18,7 +18,7 @@ from unbiasedpf import (
     wasserstein_resample,
     RngStream,
 )
-from unbiasedpf.cpf import cpf_step
+from unbiasedpf.cpf import _wasserstein_indices, cpf_step
 from unbiasedpf.errors import InvalidSimplex, UnsupportedDimension
 from unbiasedpf.pf import _batch_values, _shared_scale, combined_rows, normalized_weights, pf_step
 
@@ -146,6 +146,54 @@ def test_wasserstein_rejects_multidimensional_states():
     pos = np.zeros((4, 2))
     with pytest.raises(UnsupportedDimension):
         wasserstein_resample(gen, pos, w, pos, w, 8)
+
+
+def test_wasserstein_checks_each_weight_vector_against_its_cloud():
+    gen = np.random.default_rng(1)
+    pos = np.zeros((4, 1))
+    w = np.full(4, 0.25)
+    with pytest.raises(InvalidSimplex):
+        wasserstein_resample(gen, pos, np.full(8, 0.125), pos, w, 6)
+    with pytest.raises(InvalidSimplex):
+        wasserstein_resample(gen, pos, w, pos, np.full(3, 1 / 3), 6)
+    with pytest.raises(UnsupportedDimension):
+        wasserstein_resample(gen, pos, w, np.zeros(4), w, 6)
+    # clouds of different sizes are still coupled, rank by rank
+    idx_f, idx_c = wasserstein_resample(gen, pos, w, np.zeros((2, 1)), np.full(2, 0.5), 6)
+    assert idx_f.max() < 4 and idx_c.max() < 2
+
+
+def test_wasserstein_ties_rank_as_a_stable_sort():
+    # positions are ranked by quicksort, which orders tied positions
+    # arbitrarily; where a row has a tie the rank must be the stable one
+    def reference(u, pos, w):
+        order = np.argsort(pos[:, 0], kind="stable")
+        cum = np.cumsum(w[order])
+        cum[-1] = 1.0
+        return order[cum.searchsorted(u, side="right")]
+
+    gen = np.random.default_rng(47)
+    n = 2000
+    distinct = gen.normal(size=(n, 1))
+    duplicated = gen.integers(0, 25, size=(n, 1)).astype(float)
+    zeros = np.where(gen.random((n, 1)) < 0.5, -0.0, 0.0)
+    signed_zeros = np.where(gen.random((n, 1)) < 0.3, zeros, gen.normal(size=(n, 1)))
+    clouds = [distinct, duplicated, zeros, signed_zeros]
+    weights = gen.dirichlet(np.ones(n), size=len(clouds))
+    for xf, wf, xc, wc in zip(clouds, weights, clouds[::-1], weights[::-1]):
+        got = wasserstein_resample(np.random.default_rng(5), xf, wf, xc, wc, n)
+        u = np.random.default_rng(5).random(n)
+        assert np.array_equal(got[0], reference(u, xf, wf))
+        assert np.array_equal(got[1], reference(u, xc, wc))
+    # a stack where only the middle row has ties
+    xf = np.stack([distinct, signed_zeros, -distinct])
+    xc = np.stack([2 * distinct, distinct, duplicated + distinct / 1e3])
+    wf, wc = weights[:3], weights[1:]
+    got = _wasserstein_indices([np.random.default_rng(r) for r in range(3)], xf, wf, xc, wc, n)
+    for r in range(3):
+        u = np.random.default_rng(r).random(n)
+        assert np.array_equal(got[0][r], reference(u, xf[r], wf[r]))
+        assert np.array_equal(got[1][r], reference(u, xc[r], wc[r]))
 
 
 def test_init_coupled_system_validates_scheme(ou, ou_data_n3):

@@ -140,3 +140,15 @@ def test_one_row_runs_equal_recorded_values(ou, ou_data, nld, nld_data):
                     want = golden[f"{name}-mlpf-{scheme}-{regime}-s{seed}"]
                     assert hexes(res.level_per_time) == want["level_per_time"]
                     assert res.total_cost == want["total_cost"]
+
+
+def test_large_clouds_equal_recorded_values(nld, nld_data):
+    # float.hex values of allocate(5, "nonconstant"), clouds of 160 to 5120
+    # particles: numpy picks other sort and search paths at these sizes
+    # than at the allocate(3, ...) sizes above
+    want = json.loads((Path(__file__).parent / "golden_rows.json").read_text())
+    for scheme in SCHEMES:
+        res = mlpf_estimate(nld, nld_data, allocate(5, "nonconstant"), seed=1, scheme=scheme)
+        got = [[v.hex() for v in row] for row in res.level_per_time.tolist()]
+        assert got == want["NLD-mlpf-nonconstant-L5-s1"][scheme]["level_per_time"]
+        assert res.total_cost == want["NLD-mlpf-nonconstant-L5-s1"][scheme]["total_cost"]

@@ -20,7 +20,13 @@ from unbiasedpf import (
 )
 from unbiasedpf.errors import DegenerateWeights
 from unbiasedpf.observation import DataSet
-from unbiasedpf.pf import _batch_values, _log_max_error, _shared_scale, combined_rows
+from unbiasedpf.pf import (
+    _batch_values,
+    _log_max_error,
+    _shared_scale,
+    combined_rows,
+    inverse_cdf,
+)
 
 from _oracles import (
     StubGen,
@@ -64,6 +70,42 @@ def test_multinomial_indices_frequencies():
     counts = np.bincount(idx, minlength=4)
     _, p = stats.chisquare(counts[[0, 1, 3]], 100000 * w[[0, 1, 3]])
     assert p > 0.01
+
+
+def test_inverse_cdf_equals_plain_search():
+    # the reference searches each row's uniforms in the order they come
+    def reference(weights, u):
+        cum = np.cumsum(weights, axis=-1)
+        cum[..., -1] = 1.0
+        if cum.ndim == 1:
+            return cum.searchsorted(u, side="right")
+        return np.array([c.searchsorted(v, side="right") for c, v in zip(cum, u)])
+
+    gen = np.random.default_rng(43)
+    cases = []
+    for n in (1, 2, 3, 17, 300, 4096, 20000):
+        w = gen.dirichlet(np.ones(n), size=4)
+        w[:, 1::3] = 0.0  # zero weights: empty steps of the CDF
+        w /= w.sum(axis=-1, keepdims=True)
+        # uniforms equal to the CDF's own values, to 0 and to the largest below 1
+        edges = np.concatenate([np.cumsum(w, axis=-1), [[0.0, 1 - 2 ** -53]] * 4], 1)
+        u = np.concatenate([gen.random((4, 2 * n)), np.where(edges < 1.0, edges, 0.5)], 1)
+        u = gen.permuted(u, axis=1)
+        cases += [(w[0], u[0]), (w[0], u[0, : max(1, n // 2)]), (w, u)]
+    # running sums that pass 1.0 before the last entry, which then drops to 1.0
+    over = []
+    while len(over) < 8:
+        w = gen.random(12)
+        w[-1] = 0.0
+        w /= w.sum()
+        if np.cumsum(w)[-2] > 1.0:
+            over.append(w)
+    over = np.array(over)
+    cases += [(over, np.tile(1 - 2.0 ** -np.arange(1, 54), (8, 1))), (over[0], gen.random(50))]
+    for w, u in cases:
+        got = inverse_cdf(w, u)
+        assert got.shape == u.shape
+        assert np.array_equal(got, reference(w, u))
 
 
 def test_batch_schedule():
