@@ -494,13 +494,15 @@ def run_mlpf(cfg):
 
 
 def run_sweep(cfg):
+    repeats = cfg.get("repeats", 100)
+    if repeats < 2:
+        raise InvalidRate(f"a variance needs at least 2 repeats, got {repeats!r}")
     data = _load_data(cfg)
     bm = _benchmark_for(cfg, data)
     levels = cfg.get("levels", (2, 3, 4, 5, 6))
     if any(l < 1 for l in levels):
         raise InvalidLevel("variance sweeps need coupled levels l >= 1")
     particles = cfg.get("particles", 500 if cfg.get("desk", False) else 1000)
-    repeats = cfg.get("repeats", 100)
     seed = cfg.get("seed", 1)
     scheme = cfg.get("scheme", "wasserstein")
     threads = cfg.get("threads", 1)

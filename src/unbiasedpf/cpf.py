@@ -9,15 +9,19 @@ whose variance shrinks with l and makes level randomization affordable.
 The batch loop is pf.run_batches over (R, N, d) stacks of R coupled
 filters, a batch being the pair (fine, coarse); pf.combined_rows forms each
 side's size-weighted estimate, and the increment is fine minus coarse.
+cpf_step and both couplings work on stacks, one generator per row;
+maximal_coupling_resample and wasserstein_resample are their checked calls
+for one pair of weight vectors, lifted to one row.
 
-Two resampling couplings are provided. The maximal coupling draws a shared
-ancestor with the largest probability the two weight vectors allow
-(alpha = sum of pointwise minima) and falls back to independent residual
-draws otherwise. The Wasserstein coupling (scalar states only) pushes one
-shared uniform through both weighted empirical quantile functions, which
-keeps resampled pairs close in position rather than merely equal in index.
-Positions are ranked by quicksort, and by a stable sort only where a cloud
-has tied positions, so the rank is always the stable one.
+Two resampling couplings are provided. The maximal coupling (Jasra,
+Kamatani, Law & Zhou, SIAM J. Numer. Anal. 2017) draws a shared ancestor
+with the largest probability the two weight vectors allow (alpha = sum of
+pointwise minima) and falls back to independent residual draws otherwise.
+The Wasserstein coupling (scalar states only) pushes one shared uniform
+through both weighted empirical quantile functions, which keeps resampled
+pairs close in position rather than merely equal in index. Positions are
+ranked by quicksort, and by a stable sort only where a cloud has tied
+positions, so the rank is always the stable one.
 """
 
 from dataclasses import dataclass
@@ -25,15 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidSimplex, UnsupportedDimension
-from .pf import (
-    _search_sorted,
-    _sorted_rows,
-    combined_table,
-    gather,
-    inverse_cdf,
-    normalized_weights,
-    run_batches,
-)
+from .pf import (_check_simplex, _search_sorted, _sorted_rows, check_size_index, combined_table,
+                 gather, inverse_cdf, normalized_weights, run_batches)
 from .sde import coupled_transition, draw
 
 
@@ -46,44 +43,31 @@ def check_scheme(scheme):
         raise ValueError(f"unknown coupled resampling scheme {scheme!r}")
 
 
-def _check_simplex(w, what):
-    w = np.asarray(w, dtype=float)
-    if w.ndim != 1 or w.size == 0:
-        raise InvalidSimplex(f"{what} must be a non-empty vector")
-    if (w < -1e-12).any() or not np.isfinite(w).all():
-        raise InvalidSimplex(f"{what} has negative or non-finite entries")
-    if abs(float(w.sum()) - 1.0) > 1e-9:
-        raise InvalidSimplex(f"{what} does not sum to 1")
-    return np.maximum(w, 0.0)
-
-
 @dataclass(frozen=True)
 class CouplingDiagnostics:
-    """alpha is the overlap sum(min(w_f, w_c)). For the maximal coupling,
-    matched_fraction is the share of draws that took the common branch; for
-    the Wasserstein coupling (which has no branches) it is the share of
-    draws whose two ancestor indices coincided."""
+    """alpha is the overlap sum(min(w_f, w_c)), and matched_fraction the
+    share of draws that took the shared branch of the maximal coupling."""
 
     alpha: float
     matched_fraction: float
 
 
-def _maximal_row(wf, wc, u):
-    """One row of maximal-coupling index pairs from uniforms u, (4, size);
-    returns (idx_f, idx_c, alpha, matched_fraction)."""
+def _maximal_indices(gens, wf, wc, size):
+    """Maximal-coupling index pairs of (R, N) weights, row r drawing its
+    (4, size) uniforms from gens[r]: (idx_f, idx_c), the overlaps alpha,
+    (R, 1), and which draws matched. A row with 1 - alpha below 1e-14 takes
+    the shared draw only; an alpha = 0 row never matches, and its residuals
+    are wf and wc to the bit, since (w - 0) / 1.0 == w."""
+    u = draw(gens, "random", (4, size))
     m = np.minimum(wf, wc)
-    alpha = float(m.sum())
-    if 1.0 - alpha < 1e-14:
-        j = inverse_cdf(m / alpha, u[1])
-        return j, j.copy(), alpha, 1.0
-    if alpha <= 0.0:
-        return inverse_cdf(wf, u[2]), inverse_cdf(wc, u[3]), 0.0, 0.0
-    matched = u[0] < alpha
-    shared = inverse_cdf(m / alpha, u[1])
-    resid = 1.0 - alpha
-    idx_f = np.where(matched, shared, inverse_cdf((wf - m) / resid, u[2]))
-    idx_c = np.where(matched, shared, inverse_cdf((wc - m) / resid, u[3]))
-    return idx_f, idx_c, alpha, float(matched.mean())
+    alpha = m.sum(axis=-1, keepdims=True)
+    full = 1.0 - alpha < 1e-14
+    shared = inverse_cdf(np.divide(m, alpha, out=np.zeros_like(m), where=alpha > 0.0), u[:, 1])
+    resid = np.where(full, 1.0, 1.0 - alpha)
+    matched = full | (u[:, 0] < alpha)
+    idx_f = np.where(matched, shared, inverse_cdf(np.where(full, 0.0, wf - m) / resid, u[:, 2]))
+    idx_c = np.where(matched, shared, inverse_cdf(np.where(full, 0.0, wc - m) / resid, u[:, 3]))
+    return idx_f, idx_c, alpha, matched
 
 
 def maximal_coupling_resample(gen, w_fine, w_coarse, size):
@@ -100,26 +84,27 @@ def maximal_coupling_resample(gen, w_fine, w_coarse, size):
     wc = _check_simplex(w_coarse, "coarse weights")
     if wf.shape != wc.shape:
         raise InvalidSimplex("weight vectors must have matching lengths")
-    idx_f, idx_c, alpha, frac = _maximal_row(wf, wc, gen.random((4, size)))
-    return idx_f, idx_c, CouplingDiagnostics(alpha, frac)
+    idx_f, idx_c, alpha, matched = _maximal_indices(
+        [getattr(gen, "gen", gen)], wf[None], wc[None], size)
+    return idx_f[0], idx_c[0], CouplingDiagnostics(float(alpha[0, 0]), float(matched.mean()))
 
 
 def _rank(pos):
-    """The stable argsort of (N, 1) or (R, N, 1) positions along the
-    particles. Without ties the sorting permutation is unique, so the
-    quicksort one is it; a tie (-0.0 == 0.0 is one) falls back to stable."""
+    """The stable argsort of (R, N, 1) positions along the particles.
+    Without ties the sorting permutation is unique, so the quicksort one
+    is it; a tie (-0.0 == 0.0 is one) falls back to stable."""
     x = pos[..., 0]
     order = x.argsort(axis=-1)
     s = gather(x, order)
-    if not (s[..., 1:] > s[..., :-1]).all():
+    if not (s[:, 1:] > s[:, :-1]).all():
         order = x.argsort(axis=-1, kind="stable")
     return order
 
 
-def _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size):
-    """Comonotone index pairs for clouds and weights, or row by row for
-    (R, N, 1) stacks, (R, N) weights and a list of R generators."""
-    keys, pos = _sorted_rows(draw(gen, "random", (size,)))
+def _wasserstein_indices(gens, pos_fine, wf, pos_coarse, wc, size):
+    """Comonotone index pairs of (R, N, 1) stacks and (R, N) weights, row r
+    drawing its uniforms from gens[r]."""
+    keys, pos = _sorted_rows(draw(gens, "random", (size,)))
     of, oc = _rank(pos_fine), _rank(pos_coarse)
     return (gather(of, _search_sorted(gather(wf, of), keys, pos)),
             gather(oc, _search_sorted(gather(wc, oc), keys, pos)))
@@ -142,28 +127,26 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
     wc = _check_simplex(w_coarse, "coarse weights")
     if len(wf) != len(pos_fine) or len(wc) != len(pos_coarse):
         raise InvalidSimplex("each weight vector must have one entry per particle of its cloud")
-    return _wasserstein_indices(gen, pos_fine, wf, pos_coarse, wc, size)
+    idx_f, idx_c = _wasserstein_indices([getattr(gen, "gen", gen)], pos_fine[None], wf[None],
+                                        pos_coarse[None], wc[None], size)
+    return idx_f[0], idx_c[0]
 
 
-def cpf_step(model, level, gen, scheme, xf, xc, log_w_fine, log_w_coarse,
+def cpf_step(model, level, gens, scheme, xf, xc, log_w_fine, log_w_coarse,
              counter=None):
-    """One coupled filter step: coupled resampling, then coupled propagation
-    (also for (R, N, d) stacks, (R, N) log-weights and R generators). The
-    weights come from normalized_weights and are not validated again."""
+    """One coupled filter step of (R, N, d) stacks, row r drawing from gens[r]:
+    coupled resampling by the (R, N) log-weights, whose normalized_weights
+    are not validated again, then coupled propagation."""
     wf = normalized_weights(log_w_fine)
     wc = normalized_weights(log_w_coarse)
-    n = xf.shape[-2]
+    n = xf.shape[1]
     if scheme == "maximal":
-        u = draw(gen, "random", (4, n))
-        if xf.ndim == 2:
-            idx_f, idx_c, _, _ = _maximal_row(wf, wc, u)
-        else:  # each row takes its own branch
-            idx_f, idx_c = map(np.array, zip(*[_maximal_row(*a)[:2] for a in zip(wf, wc, u)]))
+        idx_f, idx_c, _, _ = _maximal_indices(gens, wf, wc, n)
     elif xf.shape[-1] != 1:
         raise UnsupportedDimension("Wasserstein resampling is only implemented for d=1")
     else:
-        idx_f, idx_c = _wasserstein_indices(gen, xf, wf, xc, wc, n)
-    return coupled_transition(model, gather(xf, idx_f), gather(xc, idx_c), level, gen, counter)
+        idx_f, idx_c = _wasserstein_indices(gens, xf, wf, xc, wc, n)
+    return coupled_transition(model, gather(xf, idx_f), gather(xc, idx_c), level, gens, counter)
 
 
 def cpf_rows(bm, data, schedule, p, level, streams, scheme, counter=None):
@@ -188,6 +171,7 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     fine combined estimate through batch q minus the coarse one.
     """
     check_scheme(scheme)
+    p = check_size_index(p)
     result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, counter)
     both = combined_table(result, schedule.batch_sizes(p))
     return both[:, 0] - both[:, 1]

@@ -17,7 +17,9 @@ cpf and runs R independent filters as stacked rows: a batch is a tuple of
 (R, N_q, d) arrays, one cloud here and a fine/coarse pair there. Each row
 is bit-identical to its one-row run (batch_pf_run is that call). Every
 size-weighted combination, for a stack or one row, is combined_rows; the
-one-row calls return its values as a plain (n, p+1) array.
+one-row calls return its values as a plain (n, p+1) array. The filter
+step and the resampling helpers take stacks only, one generator per row;
+multinomial_indices with one generator is the checked one-row call.
 """
 
 import math
@@ -26,7 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DegenerateWeights
+from .errors import DegenerateWeights, InvalidRate, InvalidSimplex
 from .sde import draw, overflow_error, transition
 
 _ZERO_MASS = "combined batch estimate has zero mass"
@@ -58,30 +60,39 @@ def normalized_weights(log_w):
     return w / s
 
 
+def _check_simplex(w, what):
+    """w as a float vector of probabilities, or InvalidSimplex."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 1 or w.size == 0:
+        raise InvalidSimplex(f"{what} must be a non-empty vector")
+    if (w < -1e-12).any() or not np.isfinite(w).all():
+        raise InvalidSimplex(f"{what} has negative or non-finite entries")
+    if abs(float(w.sum()) - 1.0) > 1e-9:
+        raise InvalidSimplex(f"{what} does not sum to 1")
+    return np.maximum(w, 0.0)
+
+
 def _sorted_rows(u):
-    """u's rows, each sorted, and where their entries sit in u: for (R, size)
-    uniforms flat positions with row offsets, as in gather."""
+    """The rows of (R, size) uniforms u, each sorted, and the flat positions
+    (with row offsets, as in gather) where their entries sit in u."""
     order = u.argsort(axis=-1)  # quicksort: equal keys find equal indices
-    if u.ndim == 2:
-        order += np.arange(0, u.size, u.shape[1])[:, None]
+    order += np.arange(0, u.size, u.shape[1])[:, None]
     return u.take(order), order
 
 
 def _search_sorted(weights, keys, pos):
-    """inverse_cdf(weights, u) from _sorted_rows(u) = (keys, pos)."""
+    """inverse_cdf(weights, u) of (R, N) weights from _sorted_rows(u) = (keys, pos)."""
     cum = weights.cumsum(axis=-1)
-    cum[..., -1] = 1.0
+    cum[:, -1] = 1.0
     out = np.empty(keys.shape, dtype=np.intp)
-    if cum.ndim == 1:
-        out.put(pos, cum.searchsorted(keys, side="right"))
-    else:
-        out.put(pos, np.concatenate([c.searchsorted(k, side="right") for c, k in zip(cum, keys)]))
+    out.put(pos, np.concatenate([c.searchsorted(k, side="right") for c, k in zip(cum, keys)]))
     return out
 
 
 def inverse_cdf(weights, u):
     """Indices drawn by pushing uniforms u through a weight vector's CDF,
-    row by row for (R, N) weights and (R, size) uniforms.
+    row by row for (R, N) weights and (R, size) uniforms, or for one
+    weight vector and one vector of uniforms.
 
     Needs weights >= 0 and u in [0, 1). Then the running sum never
     decreases and its last entry, set to 1.0, exceeds every u, so
@@ -89,19 +100,24 @@ def inverse_cdf(weights, u):
     same index for a uniform whatever order the uniforms come in: each
     row's uniforms are searched in sorted order and scattered back.
     """
-    return _search_sorted(weights, *_sorted_rows(u))
+    u = np.asarray(u)
+    rows = _search_sorted(np.atleast_2d(weights), *_sorted_rows(np.atleast_2d(u)))
+    return rows.reshape(u.shape)
 
 
 def multinomial_indices(gen, weights, size):
-    """Draw `size` ancestor indices i.i.d. from a normalized weight vector
-    (per row of (R, N) weights, with gen a list of R generators)."""
-    return inverse_cdf(weights, draw(gen, "random", (size,)))
+    """Draw `size` ancestor indices i.i.d. from normalized weights: per row
+    of (R, N) weights with gen a list of R generators, as the engine calls
+    it, unchecked; or from one weight vector, checked (InvalidSimplex), with
+    one Generator or RngStream."""
+    if isinstance(gen, (list, tuple)):
+        return inverse_cdf(weights, draw(gen, "random", (size,)))
+    w = _check_simplex(weights, "weights")
+    return inverse_cdf(w, draw([getattr(gen, "gen", gen)], "random", (size,))[0])
 
 
 def gather(x, idx):
-    """x[idx] for 1-D indices; for (R, M) indices each row's x[r][idx[r]]."""
-    if idx.ndim == 1:
-        return x[idx]
+    """Each row's x[r][idx[r]] for an (R, N, ...) stack x and (R, M) indices."""
     rows, n = x.shape[:2]
     flat = x.reshape((rows * n,) + x.shape[2:])
     return flat.take(idx + np.arange(0, rows * n, n)[:, None], axis=0)
@@ -127,11 +143,11 @@ class BatchSchedule:
         return [self.n0] + [self.n0 * (1 << (q - 1)) for q in range(1, p + 1)]
 
 
-def pf_step(model, level, gen, x, log_w, counter=None):
-    """One filter step: multinomial resampling by log_w, then propagate
-    (also for an (R, N, d) stack, (R, N) log_w and R generators)."""
-    idx = multinomial_indices(gen, normalized_weights(log_w), x.shape[-2])
-    return transition(model, gather(x, idx), level, gen, counter)
+def pf_step(model, level, gens, x, log_w, counter=None):
+    """One filter step of an (R, N, d) stack: multinomial resampling by the
+    (R, N) log-weights, then propagation, row r drawing from gens[r]."""
+    idx = multinomial_indices(gens, normalized_weights(log_w), x.shape[1])
+    return transition(model, gather(x, idx), level, gens, counter)
 
 
 def combined_rows(sizes, num, den, q, errors):
@@ -247,6 +263,13 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
     return num, den, errors
 
 
+def check_size_index(p):
+    """p as an int, or InvalidRate unless it is a non-negative integer."""
+    if int(p) != p or p < 0:
+        raise InvalidRate(f"p must be a non-negative integer, got {p!r}")
+    return int(p)
+
+
 def combined_table(result, sizes):
     """combined_rows of a one-row run_batches result for every q, shape
     (n, sides, p+1). Raises the row's error, or else the zero-mass error of
@@ -279,5 +302,6 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     through batch q of the filter at observation count k+1. Resampling
     after the last observation is skipped since nothing consumes it.
     """
+    p = check_size_index(p)
     result = pf_rows(bm, data, schedule, p, level, [stream], counter)
     return combined_table(result, schedule.batch_sizes(p))[:, 0]

@@ -124,9 +124,6 @@ class RandomizationPlan:
     p_pmfs: tuple
     schedule: BatchSchedule
     label: str
-    l_max: object = None
-    beta: float = None
-    rho: float = None
 
     def pmf_p(self, l):
         """Sample-size pmf conditional on level l."""
@@ -183,9 +180,6 @@ def make_theory_plan(beta, rho, n0, level_family="geometric"):
         p_pmfs=(p_pmf,),
         schedule=BatchSchedule(n0),
         label="unbiased",
-        l_max=None,
-        beta=beta,
-        rho=rho,
     )
 
 
@@ -218,7 +212,6 @@ def make_truncated_plan(l_max, n0):
         p_pmfs=p_pmfs,
         schedule=BatchSchedule(n0),
         label="bias-controlled",
-        l_max=l_max,
     )
 
 
@@ -244,7 +237,6 @@ def make_single_rand_plan(l_max, n0):
         p_pmfs=(),
         schedule=BatchSchedule(n0),
         label=label,
-        l_max=l_max,
     )
 
 

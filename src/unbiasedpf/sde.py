@@ -12,10 +12,11 @@ is then exactly the corresponding single-level kernel, and for models with
 constant diffusion coefficient the two chains stay numerically close, which
 is what makes coupled filter increments have small variance.
 
-States are arrays with the coordinate dimension last, either (d,) for one
-state or (N, d) for a batch of particles. Everything here is vectorized
-over the batch axis, and the kernels also advance an (R, N, d) stack of R
-batches, row r drawing from the r-th of a list of R generators.
+States are arrays with the coordinate dimension last. The kernels advance
+an (R, N, d) stack of R clouds, row r drawing from the r-th of a list of R
+generators. A public call with one state (d,) or cloud (N, d) and one
+generator is lifted to R = 1 at entry, and its result is checked for
+overflow and given back in the input's shape at exit.
 """
 
 from dataclasses import dataclass
@@ -100,20 +101,34 @@ class CostCounter:
 
 
 def _as_batch(x, dim):
-    """View `x` as a (N, d) batch (a stack stays as it is), returning the
+    """View a state (d,) or cloud (N, d) as an (N, d) batch, returning the
     batch and a flag to undo it."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        if dim != 1:
-            raise ValueError("scalar state given for a multidimensional model")
-        return x.reshape(1, 1), True
-    if x.ndim == 1:
-        if x.shape[0] != dim:
-            raise ValueError(f"state has dimension {x.shape[0]}, model has {dim}")
-        return x.reshape(1, dim), True
-    if x.shape[-1] != dim:
+    if x.ndim == 0 and dim != 1:
+        raise ValueError("scalar state given for a multidimensional model")
+    if x.ndim and x.shape[-1] != dim:
         raise ValueError(f"state has dimension {x.shape[-1]}, model has {dim}")
-    return x, False
+    return (x.reshape(1, dim), True) if x.ndim < 2 else (x, False)
+
+
+def _lift(x, rng, dim):
+    """A stack and its list of generators as they are, or one state or cloud
+    and one Generator or RngStream as an R = 1 stack and a list of one; also
+    the shape that a lifted result goes back to, None for a stack."""
+    if isinstance(rng, (list, tuple)):
+        return x, rng, None
+    xb, squeeze = _as_batch(x, dim)
+    return xb[None], [getattr(rng, "gen", rng)], xb.shape[1:] if squeeze else xb.shape
+
+
+def _lifted_result(model, level, shape, *clouds):
+    """A stack's clouds unchecked, for the caller to drop failed rows; a
+    lifted call's checked for overflow and in the input's shape."""
+    if shape is None:
+        return clouds
+    if not all(np.isfinite(c).all() for c in clouds):
+        raise overflow_error(model, level, coupled=len(clouds) == 2)
+    return tuple(c.reshape(shape) for c in clouds)
 
 
 def _euler_update(x, drift, dt, b, dw):
@@ -171,15 +186,23 @@ def _step_groups(steps, n, d):
     return [min(group, steps - s) for s in range(0, steps, group)]
 
 
-def draw(rng, method, shape):
-    """`shape` from one generator, or (R,) + shape from a list of R, one
-    call each filling its row in place."""
-    if not isinstance(rng, (list, tuple)):
-        return getattr(getattr(rng, "gen", rng), method)(shape)
-    out = np.empty((len(rng),) + tuple(shape))
-    for row, gen in zip(out, rng):
+def draw(gens, method, shape):
+    """(R,) + shape from a list of R generators, one call each filling its
+    row in place."""
+    out = np.empty((len(gens),) + tuple(shape))
+    for row, gen in zip(out, gens):
         getattr(gen, method)(shape, out=row)
     return out
+
+
+def _increments(gens, level, n, d):
+    """The unit time's Brownian increments of (R, n, d) stacks, as (R, g, n, d)
+    blocks of the _step_groups of the level's 2^l steps."""
+    sqdt = np.sqrt(level.dt)
+    for g in _step_groups(level.steps_per_unit, n, d):
+        dw = draw(gens, "standard_normal", (g, n, d))
+        dw *= sqdt
+        yield dw
 
 
 def overflow_error(model, level, coupled=False):
@@ -191,33 +214,25 @@ def overflow_error(model, level, coupled=False):
 def transition(model, x, level, rng, counter=None):
     """Sample the level-l unit-time kernel M^l(x, .) for each state in x.
 
-    x is (d,), (N, d) or an (R, N, d) stack; rng is a Generator or RngStream,
-    or a list of R Generators for a stack. The 2^l Gaussian increments come
-    in one generator call when they number at most _MAX_BLOCK doubles, else
-    in even groups of steps (_step_groups), so stream consumption is a fixed
-    function of the level and the batch shape. counter, if given, gains
-    N * 2^l Euler steps (one row's, for a stack). Returns an array shaped
-    like x; overflow raises NumericalOverflow, except that a stack is
-    returned unchecked for its caller to drop the failed rows.
+    x is an (R, N, d) stack and rng a list of R Generators, or x is one
+    state (d,) or cloud (N, d) and rng one Generator or RngStream. The 2^l
+    Gaussian increments come in one generator call per row when they number
+    at most _MAX_BLOCK doubles, else in even groups of steps (_step_groups),
+    so stream consumption is a fixed function of the level and the cloud
+    shape. counter, if given, gains N * 2^l Euler steps (one row's). A stack
+    is returned unchecked; a one-cloud call raises NumericalOverflow on
+    overflow and returns an array shaped like x.
     """
-    x, squeeze = _as_batch(x, model.dim)
-    steps = level.steps_per_unit
-    dt = level.dt
-    n, d = x.shape[-2:]
-    sqdt = np.sqrt(dt)
-    drift = model.drift
-    diffusion = model.diffusion
+    x, gens, shape = _lift(x, rng, model.dim)
+    n, d = x.shape[1:]
+    dt, drift, diffusion = level.dt, model.drift, model.diffusion
     b = diffusion(x) if model.constant_diffusion else None
-    for g in _step_groups(steps, n, d):
-        dw = draw(rng, "standard_normal", (g, n, d))
-        dw *= sqdt
-        for s in range(g):
-            x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[..., s, :, :])
+    for dw in _increments(gens, level, n, d):
+        for s in range(dw.shape[1]):
+            x = _euler_update(x, drift, dt, diffusion(x) if b is None else b, dw[:, s])
     if counter is not None:
-        counter.add(n * steps)
-    if x.ndim == 2 and not np.isfinite(x).all():
-        raise overflow_error(model, level)
-    return x[0] if squeeze else x
+        counter.add(n * level.steps_per_unit)
+    return _lifted_result(model, level, shape, x)[0]
 
 
 def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
@@ -232,40 +247,21 @@ def coupled_transition(model, x_fine, x_coarse, level, rng, counter=None):
     """
     if level.l < 1:
         raise InvalidLevel("coupled transitions need a fine level l >= 1")
-    xf, squeeze = _as_batch(x_fine, model.dim)
-    xc, _ = _as_batch(x_coarse, model.dim)
+    xf, gens, shape = _lift(x_fine, rng, model.dim)
+    xc = _lift(x_coarse, rng, model.dim)[0]
     if xf.shape != xc.shape:
         raise ValueError("fine and coarse states must have matching shapes")
-
-    steps = level.steps_per_unit
-    dt = level.dt
-    n, d = xf.shape[-2:]
-    sqdt = np.sqrt(dt)
-    dt_c = 2.0 * dt
-
-    drift = model.drift
-    diffusion = model.diffusion
-    b_const = diffusion(xf) if model.constant_diffusion else None
-
+    n, d = xf.shape[1:]
+    dt, drift, diffusion = level.dt, model.drift, model.diffusion
+    b = diffusion(xf) if model.constant_diffusion else None
     # Step groups are even, so fine-increment pairs never straddle a group
     # boundary and the coarse chain can be advanced group by group.
-    for g in _step_groups(steps, n, d):
-        dw = draw(rng, "standard_normal", (g, n, d))
-        dw *= sqdt
-        for s in range(g):
-            bf = b_const if b_const is not None else diffusion(xf)
-            xf = _euler_update(xf, drift, dt, bf, dw[..., s, :, :])
-        dw_c = dw[..., 0::2, :, :] + dw[..., 1::2, :, :]
-        for s in range(g // 2):
-            bc = b_const if b_const is not None else diffusion(xc)
-            xc = _euler_update(xc, drift, dt_c, bc, dw_c[..., s, :, :])
-
+    for dw in _increments(gens, level, n, d):
+        for s in range(dw.shape[1]):
+            xf = _euler_update(xf, drift, dt, diffusion(xf) if b is None else b, dw[:, s])
+        dw_c = dw[:, 0::2] + dw[:, 1::2]
+        for s in range(dw_c.shape[1]):
+            xc = _euler_update(xc, drift, 2.0 * dt, diffusion(xc) if b is None else b, dw_c[:, s])
     if counter is not None:
-        counter.add(n * (steps + steps // 2))
-    if xf.ndim == 3:
-        return xf, xc
-    if not (np.isfinite(xf).all() and np.isfinite(xc).all()):
-        raise overflow_error(model, level, coupled=True)
-    if squeeze:
-        return xf[0], xc[0]
-    return xf, xc
+        counter.add(n * (level.steps_per_unit + level.steps_per_unit // 2))
+    return _lifted_result(model, level, shape, xf, xc)

@@ -144,27 +144,61 @@ class StubGen:
 
     standard_normal(shape) pops the next preset array (reshaped to `shape`);
     random(...) pops from a separate uniform queue, defaulting to 0.5 when
-    the queue is empty. Used to drive kernels through hand-computable paths.
+    the queue is empty. Like a Generator, both fill `out` when given it.
+    Used to drive kernels through hand-computable paths.
     """
 
     def __init__(self, normals=(), uniforms=()):
         self.normals = [np.asarray(a, dtype=float) for a in normals]
         self.uniforms = [np.asarray(a, dtype=float) for a in uniforms]
 
-    def standard_normal(self, shape=None):
+    def standard_normal(self, shape=None, out=None):
         if not self.normals:
             raise AssertionError("stub generator ran out of normal draws")
         a = self.normals.pop(0)
         if shape is None:
             return float(a)
-        out = a.reshape(shape)
-        return out.copy()
+        return _filled(out, a.reshape(shape))
 
-    def random(self, size=None):
+    def random(self, size=None, out=None):
         if self.uniforms:
             a = self.uniforms.pop(0)
         else:
             a = np.asarray(0.5)
         if size is None:
             return float(a)
-        return np.broadcast_to(a, size if np.ndim(size) == 0 else tuple(size)).copy()
+        return _filled(out, np.broadcast_to(a, size if np.ndim(size) == 0 else tuple(size)))
+
+
+def _filled(out, a):
+    """A copy of a, written into out when it is given."""
+    if out is None:
+        return a.copy()
+    out[...] = a
+    return out
+
+
+def maximal_coupling_row(wf, wc, u):
+    """One row of the maximal coupling of Jasra, Kamatani, Law & Zhou (2017)
+    by plain CDF searches: index pairs from uniforms u, (4, size), where
+    u[0] picks the shared branch, u[1] the shared index and u[2], u[3] the
+    residual indices. Returns (idx_f, idx_c, alpha, matched_fraction).
+    A residual mass below 1e-14 forces every pair onto the shared branch.
+    """
+    def search(w, v):
+        cum = np.cumsum(w)
+        cum[-1] = 1.0
+        return cum.searchsorted(v, side="right")
+
+    m = np.minimum(wf, wc)
+    alpha = float(m.sum())
+    if 1.0 - alpha < 1e-14:
+        j = search(m / alpha, u[1])
+        return j, j, alpha, 1.0
+    if alpha <= 0.0:
+        return search(wf, u[2]), search(wc, u[3]), 0.0, 0.0
+    matched = u[0] < alpha
+    shared = search(m / alpha, u[1])
+    idx_f = np.where(matched, shared, search((wf - m) / (1.0 - alpha), u[2]))
+    idx_c = np.where(matched, shared, search((wc - m) / (1.0 - alpha), u[3]))
+    return idx_f, idx_c, alpha, float(matched.mean())

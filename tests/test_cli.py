@@ -368,12 +368,19 @@ def test_main_rejects_unknown_scheme_from_config(tmp_path, capsys):
     assert "antithetic" in capsys.readouterr().err
 
 
-def test_main_exit_code_for_usage_errors(capsys):
+def test_main_exit_code_for_usage_errors(tmp_path, capsys):
+    data = _generate(tmp_path)
     assert main(["run-unbiased", "--bogus-flag"]) == 1
     assert main(["run-mlpf", "--levels", "1,x"]) == 1
     assert main(["run-unbiased", "--threads", "0"]) == 1
     assert main(["reference", "--threads", "-1"]) == 1
     assert main(["sweep-variance", "--repeats", "0"]) == 1
+    # one repeat has no sample variance: refused before anything runs
+    capsys.readouterr()
+    assert main(["sweep-variance", "--data", data, "--repeats", "1",
+                 "--out", str(tmp_path / "s")]) == 1
+    assert "at least 2 repeats" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
     assert main([]) == 1
     assert main(["--help"]) == 0
     capsys.readouterr()

@@ -18,11 +18,11 @@ from unbiasedpf import (
     wasserstein_resample,
     RngStream,
 )
-from unbiasedpf.cpf import _wasserstein_indices, cpf_step
+from unbiasedpf.cpf import _maximal_indices, _wasserstein_indices, cpf_step
 from unbiasedpf.errors import InvalidSimplex, UnsupportedDimension
 from unbiasedpf.pf import _batch_values, _shared_scale, combined_rows, normalized_weights, pf_step
 
-from _oracles import StubGen
+from _oracles import StubGen, maximal_coupling_row
 
 
 def test_weight_vectors_validated():
@@ -96,6 +96,69 @@ def test_maximal_coupling_marginals():
     _, p_c = stats.chisquare(np.bincount(idx_c, minlength=4), n * wc)
     assert p_f > 0.01
     assert p_c > 0.01
+
+
+def _mixed_weight_rows(gen, rows, n):
+    """Weight pairs of every kind the maximal step branches on, shuffled:
+    ordinary, identical (alpha at 1 or a rounding off it), alpha within
+    1e-14 of 1, disjoint supports (alpha = 0), identical and distinct point
+    masses, and sparse partial overlaps."""
+    pairs = []
+    for r in range(rows):
+        kind = r % 6
+        wf, wc = gen.dirichlet(np.ones(n), size=2)
+        if kind == 1:
+            wc = wf.copy()
+        elif kind == 2:
+            wc = wf.copy()
+            wc[0] += 1e-15
+            wc[-1] -= 1e-15
+        elif kind == 3 and n > 1:
+            cut = int(gen.integers(1, n))
+            wf[cut:], wc[:cut] = 0.0, 0.0
+        elif kind == 4:
+            wf = np.eye(n)[gen.integers(n)]
+            wc = wf.copy() if r % 4 else np.eye(n)[gen.integers(n)]
+        elif kind == 5:
+            wf[gen.random(n) < 0.6] = 0.0
+            wc[gen.random(n) < 0.6] = 0.0
+            wf, wc = (w / w.sum() if w.sum() > 0 else np.eye(n)[0] for w in (wf, wc))
+        pairs.append((wf, wc))
+    order = gen.permutation(rows)
+    return (np.array([pairs[i][0] for i in order]), np.array([pairs[i][1] for i in order]))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("n,size", [(1, 3), (5, 5), (40, 17), (300, 300)])
+def test_stacked_maximal_step_equals_per_row_reference(n, size):
+    # the row-stacked maximal step must give each row what the per-row
+    # coupling gives on that row's own uniforms, bit for bit
+    gen = np.random.default_rng(n)
+    wf, wc = _mixed_weight_rows(gen, 240, n)
+    seeds = gen.integers(2 ** 32, size=len(wf))
+    idx_f, idx_c, alpha, matched = _maximal_indices(
+        [np.random.default_rng(s) for s in seeds], wf, wc, size)
+    assert idx_f.shape == idx_c.shape == matched.shape == (len(wf), size)
+    alphas = set()
+    for r, s in enumerate(seeds):
+        u = np.random.default_rng(s).random((4, size))
+        ref_f, ref_c, ref_alpha, ref_frac = maximal_coupling_row(wf[r], wc[r], u)
+        assert np.array_equal(idx_f[r], ref_f) and np.array_equal(idx_c[r], ref_c)
+        assert alpha[r, 0] == ref_alpha and matched[r].mean() == ref_frac
+        alphas.add("zero" if ref_alpha == 0 else "full" if 1 - ref_alpha < 1e-14 else "part")
+    assert alphas == ({"full"} if n == 1 else {"zero", "full", "part"})
+
+
+def test_maximal_step_full_row_matches_above_alpha():
+    # alpha = 1 - 2^-50 counts as full, so a uniform above alpha still
+    # takes the shared branch, as in the per-row coupling
+    wf = np.array([0.25, 0.25, 0.5])
+    wc = wf + np.array([2.0 ** -50, -(2.0 ** -50), 0.0])
+    u = np.array([[1 - 2.0 ** -53, 0.5], [0.1, 0.6], [0.2, 0.3], [0.9, 0.8]])
+    idx_f, idx_c, alpha, matched = _maximal_indices([StubGen(uniforms=[u])], wf[None], wc[None], 2)
+    ref_f, ref_c, ref_alpha, _ = maximal_coupling_row(wf, wc, u)
+    assert alpha[0, 0] == ref_alpha == 1 - 2.0 ** -50 and matched.all()
+    assert np.array_equal(idx_f[0], ref_f) and np.array_equal(idx_c[0], ref_c)
 
 
 def test_wasserstein_marginals():
@@ -207,8 +270,9 @@ def _start(model, n):
 
 
 def _pf_reference(model, obs, level, n, y, gen):
-    x = transition(model, _start(model, n), level, gen)
-    return pf_step(model, level, gen, x, obs.log_g(x, y))
+    # one filter step of a (1, n, 1) stack, as the engine runs it
+    x = transition(model, _start(model, n)[None], level, [gen])
+    return pf_step(model, level, [gen], x, obs.log_g(x[0], y)[None])[0]
 
 
 @pytest.mark.parametrize("scheme", ["maximal", "wasserstein"])
@@ -220,11 +284,12 @@ def test_cpf_step_preserves_marginal_laws(ou, scheme):
     level = Level(2)
     model, obs = ou.diffusion, ou.observation
     gen = RngStream(41, (0,)).gen
-    start = _start(model, n)
-    xf, xc = coupled_transition(model, start, start, level, gen)
+    start = _start(model, n)[None]
+    xf, xc = coupled_transition(model, start, start, level, [gen])
     xf, xc = cpf_step(
-        model, level, gen, scheme, xf, xc, obs.log_g(xf, y), obs.log_g(xc, y)
+        model, level, [gen], scheme, xf, xc, obs.log_g(xf[0], y)[None], obs.log_g(xc[0], y)[None]
     )
+    xf, xc = xf[0], xc[0]
 
     fine_ref = _pf_reference(model, obs, Level(2), n, y, RngStream(42, (1,)).gen)
     coarse_ref = _pf_reference(model, obs, Level(1), n, y, RngStream(43, (2,)).gen)

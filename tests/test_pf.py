@@ -18,7 +18,7 @@ from unbiasedpf import (
     RngStream,
     transition,
 )
-from unbiasedpf.errors import DegenerateWeights
+from unbiasedpf.errors import DegenerateWeights, InvalidRate, InvalidSimplex
 from unbiasedpf.observation import DataSet
 from unbiasedpf.pf import (
     _batch_values,
@@ -70,6 +70,16 @@ def test_multinomial_indices_frequencies():
     counts = np.bincount(idx, minlength=4)
     _, p = stats.chisquare(counts[[0, 1, 3]], 100000 * w[[0, 1, 3]])
     assert p > 0.01
+
+
+def test_multinomial_indices_checks_one_weight_vector():
+    # the vectors the maximal-coupling checks use, one that never draws
+    # its last index, a NaN and an empty one
+    gen = np.random.default_rng(3)
+    for w in ([0.5, -0.5, 1.0], [0.5, 0.4], [0.5, 0.5, 0.5], [0.5, np.nan], []):
+        with pytest.raises(InvalidSimplex):
+            multinomial_indices(gen, np.array(w), 10)
+    assert multinomial_indices(gen, np.array([0.3, 0.3, 0.4]), 10).shape == (10,)
 
 
 def test_inverse_cdf_equals_plain_search():
@@ -192,6 +202,14 @@ def test_batch_prefix_is_bit_identical(ou, ou_data_n3):
     assert small.shape == (3, 3) and big.shape == (3, 4)
     for q in range(3):
         assert small[:, q] == pytest.approx(big[:, q], abs=1e-12)
+
+
+def test_batch_runs_need_a_non_negative_integer_p(ou, ou_data_n3):
+    for bad in (-1, 1.5):
+        with pytest.raises(InvalidRate):
+            batch_pf_run(ou, ou_data_n3, BatchSchedule(4), bad, Level(1), RngStream(0))
+        with pytest.raises(InvalidRate):
+            batch_cpf_run(ou, ou_data_n3, BatchSchedule(4), bad, Level(1), RngStream(0))
 
 
 def test_batch_pf_run_deterministic(ou, ou_data_n3):
