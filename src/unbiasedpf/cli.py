@@ -210,9 +210,17 @@ def _write_csv(path, header, rows):
 
 
 def _write_meta(path, payload):
+    """Write payload as strict JSON. It is serialised before the file is
+    opened, so a NaN or infinity raises ValueError and leaves no file; pass
+    such values through _finite_or_none, which writes them as null."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(text + "\n")
+
+
+def _finite_or_none(value):
+    """value, or None (JSON null) when it is NaN or infinite."""
+    return value if math.isfinite(value) else None
 
 
 def _config_echo(cfg):
@@ -318,7 +326,8 @@ def run_reference(cfg):
 
         vals = np.array(parallel_for(work, repeats, cfg.get("threads", 1)), dtype=float)
         means = vals.mean(axis=0)
-        var = vals.var(axis=0, ddof=1) if repeats > 1 else np.zeros(data.n)
+        # one repeat has no sample variance: nan, not a claim of exactness
+        var = vals.var(axis=0, ddof=1) if repeats > 1 else np.full(data.n, math.nan)
         stderr = np.sqrt(var / repeats)
         rows = [
             (k + 1, float(means[k]), float(var[k]), float(stderr[k]))
@@ -410,7 +419,7 @@ def run_randomized(cfg):
         {
             "estimator": est.label,
             "estimate": est.value,
-            "stderr": est.stderr,
+            "stderr": _finite_or_none(est.stderr),
             "retries": est.retries,
             "cost": {
                 "total_cost": est.total_cost,
@@ -528,7 +537,8 @@ def run_sweep(cfg):
     slope = float(np.polyfit(ls, lv, 1)[0]) if len(rows) > 1 else math.nan
     _write_meta(
         os.path.join(out, "variance_meta.json"),
-        {"log2_variance_slope": slope, "scheme": scheme, "config": _config_echo(cfg)},
+        {"log2_variance_slope": _finite_or_none(slope), "scheme": scheme,
+         "config": _config_echo(cfg)},
     )
     return {"variance": path, "meta": os.path.join(out, "variance_meta.json")}
 

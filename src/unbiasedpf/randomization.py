@@ -29,7 +29,7 @@ from .pf import BatchSchedule, combined_rows, pf_rows
 from .cpf import check_scheme, cpf_rows
 from .parallel import check_threads, parallel_for
 from .rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE, RngStream
-from .sde import _MAX_BLOCK, CostCounter, Level
+from .sde import CostCounter, Level
 
 _MAX_RETRIES = 20
 
@@ -416,23 +416,24 @@ def _check_draw_count(m):
 
 
 # Live batch generators per chunk: 128 ran 500 OU draws in 0.30 s, not
-# 0.42 s, but kept about 0.7 MB more memory in use.
+# 0.42 s, but kept about 0.7 MB more memory in use. Each generator call
+# fills at most sde._MAX_BLOCK doubles, so a chunk's increments stay within
+# _MAX_GENERATORS * sde._MAX_BLOCK doubles at any level.
 _MAX_GENERATORS = 24
 
 
-def _chunk_rows(plan, l, p, d, single):
+def _chunk_rows(l, p, single):
     """How many draws of cell (l, p) one chunk stacks."""
-    block = (1 << l) * plan.schedule.size(p) * d
-    return max(1, min(_MAX_GENERATORS // (l + 1 if single else p + 1), _MAX_BLOCK // block))
+    return max(1, _MAX_GENERATORS // (l + 1 if single else p + 1))
 
 
-def _chunks(plan, ls, ps, d, single):
+def _chunks(ls, ps, single):
     """The draws grouped by cell (l, p) in cell order, each cell cut into
     chunks of consecutive draw indices: a list of (l, p, indices)."""
     chunks = []
     for l, p in sorted(set(zip(ls.tolist(), ps.tolist()))):
         idx = np.flatnonzero((ls == l) & (ps == p))
-        rows = _chunk_rows(plan, l, p, d, single)
+        rows = _chunk_rows(l, p, single)
         chunks += [(l, p, idx[i:i + rows]) for i in range(0, len(idx), rows)]
     return chunks
 
@@ -456,7 +457,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
 
     single = plan.kind == "single"
     role = ROLE_SINGLE if single else ROLE_FILTER
-    chunks = _chunks(plan, ls, ps, bm.diffusion.dim, single)
+    chunks = _chunks(ls, ps, single)
 
     def work(c):
         # the chunk's traces, costs and retries, and each failed draw's final

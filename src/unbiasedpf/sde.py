@@ -173,16 +173,19 @@ def euler_step(model, x, dt, dw):
     return out[0] if squeeze else out
 
 
-# Gaussian increments for a unit-time transition are drawn in as few
-# generator calls as possible (one, below this many doubles), falling back
-# to even-sized groups of steps so huge (steps, N, d) blocks never
-# materialize at once. The grouping is a pure function of the shapes, so
-# stream consumption stays reproducible.
-_MAX_BLOCK = 2 ** 21
+# Each row's generator call fills at most this many doubles (256 KiB, the
+# size of an L2 cache) of a unit time's Gaussian increments, or one pair of
+# steps when a pair alone is larger, so a kernel's working memory does not
+# grow with the level. A row's stream is the same however its draws are
+# split across calls, and the grouping is a pure function of the shapes.
+_MAX_BLOCK = 2 ** 15
 
 
 def _step_groups(steps, n, d):
-    group = max(2, min(steps, (2 * _MAX_BLOCK) // (2 * max(n * d, 1)) * 2))
+    """Steps per generator call: the largest even group whose (g, n, d)
+    block fits _MAX_BLOCK, at least 2 (the coarse chain sums step pairs)
+    and at most the level's steps."""
+    group = max(2, min(steps, _MAX_BLOCK // max(n * d, 1) // 2 * 2))
     return [min(group, steps - s) for s in range(0, steps, group)]
 
 
@@ -197,7 +200,8 @@ def draw(gens, method, shape):
 
 def _increments(gens, level, n, d):
     """The unit time's Brownian increments of (R, n, d) stacks, as (R, g, n, d)
-    blocks of the _step_groups of the level's 2^l steps."""
+    blocks of the _step_groups of the level's 2^l steps: one generator call
+    per row and block, each filling at most max(_MAX_BLOCK, 2 n d) doubles."""
     sqdt = np.sqrt(level.dt)
     for g in _step_groups(level.steps_per_unit, n, d):
         dw = draw(gens, "standard_normal", (g, n, d))
@@ -216,12 +220,13 @@ def transition(model, x, level, rng, counter=None):
 
     x is an (R, N, d) stack and rng a list of R Generators, or x is one
     state (d,) or cloud (N, d) and rng one Generator or RngStream. The 2^l
-    Gaussian increments come in one generator call per row when they number
-    at most _MAX_BLOCK doubles, else in even groups of steps (_step_groups),
-    so stream consumption is a fixed function of the level and the cloud
-    shape. counter, if given, gains N * 2^l Euler steps (one row's). A stack
-    is returned unchecked; a one-cloud call raises NumericalOverflow on
-    overflow and returns an array shaped like x.
+    Gaussian increments come in even groups of steps (_step_groups), one
+    generator call per row and group, each call filling at most
+    max(_MAX_BLOCK, 2 N d) doubles whatever the level; stream consumption is
+    a fixed function of the level and the cloud shape. counter, if given,
+    gains N * 2^l Euler steps (one row's). A stack is returned unchecked; a
+    one-cloud call raises NumericalOverflow on overflow and returns an array
+    shaped like x.
     """
     x, gens, shape = _lift(x, rng, model.dim)
     n, d = x.shape[1:]

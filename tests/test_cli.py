@@ -151,6 +151,54 @@ def test_reference_pf_branch(tmp_path):
     assert "cached" not in res3
 
 
+def test_reference_of_one_repeat_claims_no_precision(tmp_path):
+    # one repeat has no sample variance: var and stderr are nan, not 0.0
+    data = _generate(tmp_path, model="NLD")
+    res = run_experiment(ExperimentConfig(mode="reference", data=data,
+                                          out=str(tmp_path / "ref"), level=3,
+                                          particles=100, repeats=1))
+    rows = _read_rows(res["reference"])
+    assert len(rows) == 3
+    assert all(np.isfinite(float(r["mean"])) for r in rows)
+    assert all(r["var"] == "nan" and r["stderr"] == "nan" for r in rows)
+
+
+def _strict_json(path):
+    def refuse(name):
+        raise ValueError(f"{path} holds the non-JSON constant {name}")
+    with open(path) as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("mode", ["run-unbiased", "run-single-rand"])
+def test_one_draw_meta_is_strict_json(tmp_path, mode):
+    # one draw has no standard error: the meta file says null, not NaN
+    data = _generate(tmp_path)
+    out = tmp_path / "run"
+    assert main([mode, "--data", data, "--m", "1", "--lmax", "2",
+                 "--out", str(out)]) == 0
+    prefix = "unbiased" if mode == "run-unbiased" else "single_rand"
+    meta = _strict_json(out / f"{prefix}_meta.json")
+    assert meta["stderr"] is None
+    assert meta["cost"]["draws"] == 1
+
+
+def test_one_level_sweep_meta_is_strict_json(tmp_path):
+    # one level gives no slope: null, not NaN
+    data = _generate(tmp_path)
+    res = run_experiment(ExperimentConfig(mode="sweep-variance", data=data,
+                                          out=str(tmp_path / "s"), levels=(1,),
+                                          particles=30, repeats=3, seed=4))
+    assert _strict_json(res["meta"])["log2_variance_slope"] is None
+
+
+def test_write_meta_refuses_nan_before_opening(tmp_path):
+    path = tmp_path / "meta.json"
+    with pytest.raises(ValueError):
+        cli._write_meta(str(path), {"stderr": float("nan")})
+    assert not path.exists()
+
+
 def test_reference_pf_branch_is_thread_independent(tmp_path):
     data = _generate(tmp_path, model="NLD")
     outs = []

@@ -1,6 +1,7 @@
 """Euler kernels: hand values, marginal laws, coupling, cost, chunking."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -72,12 +73,16 @@ def test_state_dimension_checked(ou_model):
 
 def test_step_groups_partition_evenly():
     for steps in (1, 2, 8, 64, 4096):
-        for n in (1, 7, 1000, 3_000_000):
-            groups = _step_groups(steps, n, 1)
-            assert sum(groups) == steps
-            # all groups but the last are even, so fine-step pairs for the
-            # coarse chain never straddle a group boundary
-            assert all(g % 2 == 0 for g in groups[:-1])
+        for n in (1, 7, 1000, 4000, 20_000, 3_000_000):
+            for d in (1, 3):
+                groups = _step_groups(steps, n, d)
+                assert sum(groups) == steps
+                # all groups but the last are even, so fine-step pairs for the
+                # coarse chain never straddle a group boundary
+                assert all(g % 2 == 0 for g in groups[:-1])
+                # one generator call fills at most _MAX_BLOCK doubles, or one
+                # pair of steps when a pair alone is larger
+                assert max(groups) * n * d <= max(sde._MAX_BLOCK, 2 * n * d)
 
 
 def test_transition_matches_linear_gaussian_law(ou_model):
@@ -162,18 +167,64 @@ def test_transition_deterministic_in_stream(ou_model):
     assert np.array_equal(a, b)
 
 
-def test_chunked_draws_match_single_block(ou_model, monkeypatch):
-    # shrinking the block cap changes how draws are grouped but must not
-    # change the numbers: groups consume the stream in the same order
-    x = np.linspace(-1, 1, 16).reshape(16, 1)
-    big = transition(ou_model, x, Level(6), RngStream(13, (0,)))
-    big_f, big_c = coupled_transition(ou_model, x, x, Level(6), RngStream(13, (1,)))
-    monkeypatch.setattr(sde, "_MAX_BLOCK", 8)
-    small = transition(ou_model, x, Level(6), RngStream(13, (0,)))
-    small_f, small_c = coupled_transition(ou_model, x, x, Level(6), RngStream(13, (1,)))
-    assert np.array_equal(big, small)
-    assert np.array_equal(big_f, small_f)
-    assert np.array_equal(big_c, small_c)
+def _kernel_runs(model, seed, l, rows=3):
+    """transition and coupled_transition of one cloud and of an (R, N, 1)
+    stack of R = rows clouds, at level l, on streams keyed by seed."""
+    n = 24
+    x = np.linspace(-1, 1, n).reshape(n, 1)
+    stack = np.stack([x + 0.1 * r for r in range(rows)])
+
+    def gens(role):
+        return [RngStream(seed, (role, r)).gen for r in range(rows)]
+
+    return (
+        transition(model, x, Level(l), RngStream(seed, (0,))),
+        *coupled_transition(model, x, 0.5 * x, Level(l), RngStream(seed, (1,))),
+        transition(model, stack, Level(l), gens(2)),
+        *coupled_transition(model, stack, 0.5 * stack, Level(l), gens(3)),
+    )
+
+
+def test_chunked_draws_match_single_block(monkeypatch):
+    # the block budget only decides how each row's increments are split
+    # across generator calls; a Generator gives the same stream however it
+    # is split, so every budget gives the numbers of one call per row, bit
+    # for bit. On a 24-particle cloud, budgets of 1 and 24 doubles force
+    # the two-step minimum, 5 * 24 groups of 4 steps, and 48 * 24 groups
+    # of 48 steps and a last one of 16 at level 6.
+    for name in ("OU", "NLD"):
+        model = make_benchmark(name).diffusion
+        for seed in (0, 13, 2024):
+            for l in (1, 3, 6):
+                monkeypatch.setattr(sde, "_MAX_BLOCK", 2 ** 40)
+                whole = _kernel_runs(model, seed, l)
+                for budget in (1, 24, 5 * 24, 48 * 24):
+                    monkeypatch.setattr(sde, "_MAX_BLOCK", budget)
+                    for a, b in zip(whole, _kernel_runs(model, seed, l)):
+                        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("l", [6, 8, 10])
+def test_kernel_memory_does_not_grow_with_level(l):
+    # the peak of one transition is its increments block plus a few
+    # cloud-sized temporaries, and the coupled kernel adds the half-block
+    # of coarse sums: a bound with no level in it (a single block of the
+    # unit time's increments would be 2^l n d doubles, 64 n d at level 6)
+    nld = make_benchmark("NLD").diffusion
+    n, d = 4000, 1
+    x = np.full((n, d), 0.3)
+    bound = 8 * (2 * sde._MAX_BLOCK + 16 * n * d)
+    for run in (
+        lambda: transition(nld, x, Level(l), RngStream(3, (l,))),
+        lambda: coupled_transition(nld, x, x, Level(l), RngStream(3, (l,))),
+    ):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound
 
 
 def test_nonconstant_diffusion_coupled_marginals():
