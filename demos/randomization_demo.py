@@ -56,8 +56,7 @@ def main():
     rng = np.random.default_rng(3)
     table = rng.normal(size=(lmax + 1, lmax + 1))
     exact = sum(table[l, plan.p_max(l)] for l in range(lmax + 1))
-    mean, stderr = randomized_table_mean(plan, table, draws, seed,
-                                         with_stderr=True)
+    mean, stderr = randomized_table_mean(plan, table, draws, seed)
 
     print("\n" + "=" * 72)
     print("Debiasing identity on a fixed table")

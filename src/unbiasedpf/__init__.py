@@ -39,13 +39,11 @@ from .randomization import (
     Pmf,
     default_base_size,
     draw_xi,
-    draw_xi_single,
     expected_draw_cost,
     make_single_rand_plan,
     make_theory_plan,
     make_truncated_plan,
     randomized_table_mean,
-    single_randomized_estimate,
     unbiased_estimate,
 )
 from .rng import RngStream
@@ -74,7 +72,6 @@ __all__ = [
     "coupled_transition",
     "default_base_size",
     "draw_xi",
-    "draw_xi_single",
     "euler_step",
     "exact_unit_transition",
     "expected_draw_cost",
@@ -92,7 +89,6 @@ __all__ = [
     "randomized_table_mean",
     "read_dataset",
     "single_rand_draw_cost",
-    "single_randomized_estimate",
     "transition",
     "unbiased_estimate",
     "wasserstein_resample",

@@ -57,7 +57,6 @@ from .randomization import (
     make_single_rand_plan,
     make_theory_plan,
     make_truncated_plan,
-    single_randomized_estimate,
     unbiased_estimate,
 )
 from .rng import ROLE_MLPF, ROLE_REFERENCE, ROLE_SWEEP, RngStream
@@ -251,11 +250,19 @@ def _benchmark_for(cfg, data=None):
     return make_benchmark(name)
 
 
-def _read_reference_means(path, n):
-    means = []
+def _read_csv(path, what, columns):
+    """The rows of a CSV file as dicts, a short row's missing cells read as
+    ""; ConfigError naming the file when its header lacks one of `columns`."""
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            means.append(float(row["mean"]))
+        reader = csv.DictReader(fh, restval="")
+        for col in columns:
+            if col not in (reader.fieldnames or ()):
+                raise ConfigError(f"{what} {path} has no {col!r} column")
+        return list(reader)
+
+
+def _read_reference_means(path, n):
+    means = [float(row["mean"]) for row in _read_csv(path, "reference file", ["mean"])]
     if len(means) < n:
         raise ConfigError(
             f"reference file {path} has {len(means)} rows, need {n}"
@@ -376,10 +383,10 @@ def run_randomized(cfg):
     data = _load_data(cfg)
     bm = _benchmark_for(cfg, data)
     plan = _build_plan(cfg, bm, single)
+    ref = _read_reference_means(cfg.reference, data.n) if cfg.reference else None
     m = cfg.get("m", 500 if cfg.get("desk", False) else 2000)
     mode = "strict" if cfg.get("strict", True) else "permissive"
-    runner = single_randomized_estimate if single else unbiased_estimate
-    est = runner(
+    est = unbiased_estimate(
         plan,
         bm,
         data,
@@ -432,8 +439,7 @@ def run_randomized(cfg):
     )
     artifacts = {"draws": draws_path, "summary": summary_path, "meta": meta_path}
 
-    if cfg.reference:
-        ref = _read_reference_means(cfg.reference, data.n)
+    if ref is not None:
         rows = _mse_vs_cost(est, float(ref[-1]), cfg.get("mse_points", 8))
         mse_path = os.path.join(out, f"{prefix}_mse_vs_cost.csv")
         _write_csv(mse_path, ["M", "groups", "mse", "cost"], rows)
@@ -455,11 +461,8 @@ def run_mlpf(cfg):
     threads = cfg.get("threads", 1)
     scheme = cfg.get("scheme", "wasserstein")
     allocs = [allocate(int(big_l), regime, c1) for big_l in levels]
+    ref = _read_reference_means(cfg.reference, data.n) if cfg.reference else None
     out = _ensure_out(cfg)
-
-    ref = None
-    if cfg.reference:
-        ref = _read_reference_means(cfg.reference, data.n)
 
     run_rows = []
     mse_rows = []
@@ -543,12 +546,11 @@ def run_sweep(cfg):
     return {"variance": path, "meta": os.path.join(out, "variance_meta.json")}
 
 
-def _read_mse_cost(path, mse_col="mse", cost_col="cost"):
-    pts = []
-    with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            pts.append((row.get("L") or row.get("M"),
-                        float(row[mse_col]), float(row[cost_col])))
+def _read_mse_cost(path):
+    pts = [
+        (row.get("L") or row.get("M"), float(row["mse"]), float(row["cost"]))
+        for row in _read_csv(path, "curve file", ["mse", "cost"])
+    ]
     if not pts:
         raise ConfigError(f"curve file {path} is empty")
     return pts

@@ -378,11 +378,21 @@ def write_dataset(data, path):
 
 
 def read_dataset(path):
-    """Read a dataset written by write_dataset (sidecar optional)."""
-    ys = []
+    """Read a dataset written by write_dataset (sidecar optional).
+
+    Raises ValueError naming the path when the file has no y column, a row
+    without a number in it, or no observations.
+    """
     with open(path, newline="") as fh:
-        for row in csv.DictReader(fh):
-            ys.append(float(row["y"]))
+        reader = csv.DictReader(fh, restval="")
+        if "y" not in (reader.fieldnames or ()):
+            raise ValueError(f"dataset {path} has no 'y' column")
+        try:
+            ys = [float(row["y"]) for row in reader]
+        except ValueError as err:
+            raise ValueError(f"dataset {path} line {reader.line_num}: {err}") from None
+    if not ys:
+        raise ValueError(f"dataset {path} has no observations")
     meta = {}
     sidecar = _sidecar_path(path)
     if os.path.exists(sidecar):

@@ -1,8 +1,8 @@
 """Randomized level/sample-size mixtures and the debiased estimators.
 
-A single draw picks a level l (and, for double randomization, a sample-size
-index p), runs the corresponding (coupled) filter, and returns a quantity
-Xi whose probability-weighted expectation telescopes to the exact filter
+A single draw picks a level l and a sample-size index p, the cell (l, p),
+runs the corresponding (coupled) filter, and returns a quantity Xi whose
+probability-weighted expectation telescopes to the exact filter
 functional. Averaging M independent draws of weight(l) * Xi then estimates
 the filter without discretization or particle bias when the supports are
 unbounded, and with explicitly controlled bias when they are truncated.
@@ -15,7 +15,9 @@ Their estimator is unbiased but has infinite expected cost per draw, the
 price of sub-canonical convergence. Truncated plans bound both supports
 (the practical choice: bias decays geometrically in l_max while cost stays
 finite). Single-randomization plans randomize the level only, with the
-whole doubling composition collapsed into each draw.
+whole doubling composition collapsed into each draw: their sample-size pmf
+at level l is the point mass at p = l, so a level-only draw is the cell
+(l, l), and `draw_xi` and `unbiased_estimate` run every plan.
 """
 
 import math
@@ -116,21 +118,17 @@ class RandomizationPlan:
 
     kind is "theory" (unbounded double randomization), "truncated" (bounded
     double randomization) or "single" (level randomization only). p_pmfs
-    holds the sample-size pmfs, one shared table or one per level.
+    holds one sample-size pmf per level of level_pmf's table; a level-only
+    plan's pmf at level l is the point mass at p = l.
     """
 
     kind: str
     level_pmf: Pmf
     p_pmfs: tuple
     schedule: BatchSchedule
-    label: str
 
     def pmf_p(self, l):
         """Sample-size pmf conditional on level l."""
-        if not self.p_pmfs:
-            raise InvalidRate("this plan does not randomize the sample size")
-        if len(self.p_pmfs) == 1:
-            return self.p_pmfs[0]
         return self.p_pmfs[l - self.level_pmf.start]
 
     def p_max(self, l):
@@ -143,6 +141,12 @@ class RandomizationPlan:
         if not self.level_pmf.bounded:
             return True
         return any(not q.bounded for q in self.p_pmfs)
+
+    @property
+    def label(self):
+        """The estimate's label: "unbiased" for unbounded plans, otherwise
+        "bias-controlled"."""
+        return "unbiased" if self.unbounded else "bias-controlled"
 
     def level_weight(self, l):
         """The debiasing weight 1 / P_L(l); vectorized over l."""
@@ -177,9 +181,8 @@ def make_theory_plan(beta, rho, n0, level_family="geometric"):
     return RandomizationPlan(
         kind="theory",
         level_pmf=level_pmf,
-        p_pmfs=(p_pmf,),
+        p_pmfs=(p_pmf,) * len(level_pmf),
         schedule=BatchSchedule(n0),
-        label="unbiased",
     )
 
 
@@ -211,7 +214,6 @@ def make_truncated_plan(l_max, n0):
         level_pmf=level_pmf,
         p_pmfs=p_pmfs,
         schedule=BatchSchedule(n0),
-        label="bias-controlled",
     )
 
 
@@ -224,19 +226,16 @@ def make_single_rand_plan(l_max, n0):
     """
     if l_max is None:
         level_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
-        label = "unbiased"
     else:
         if int(l_max) != l_max or l_max < 0:
             raise InvalidRate(f"l_max must be a non-negative integer, got {l_max!r}")
         l_max = int(l_max)
         level_pmf = Pmf([_log_weighted_mass(l) for l in range(l_max + 1)])
-        label = "bias-controlled"
     return RandomizationPlan(
         kind="single",
         level_pmf=level_pmf,
-        p_pmfs=(),
+        p_pmfs=tuple(Pmf([1.0], start=l) for l in range(len(level_pmf))),
         schedule=BatchSchedule(n0),
-        label=label,
     )
 
 
@@ -259,9 +258,7 @@ def expected_draw_cost(plan, n):
     lp = plan.level_pmf
     total = 0.0
     for l in range(lp.start, lp.stop + 1):
-        pl = lp.mass(l)
-        # a level-only draw is the cell (l, l) with certainty
-        pp = plan.pmf_p(l) if plan.p_pmfs else Pmf([1.0], start=l)
+        pl, pp = lp.mass(l), plan.pmf_p(l)
         for p in range(pp.start, pp.stop + 1):
             total += pl * pp.mass(p) * _draw_cost(plan, l, p, n)
     return total
@@ -280,13 +277,13 @@ class XiSample:
     trace: np.ndarray
 
 
-def _run_cell(plan, bm, data, l, p, streams, scheme, single):
+def _run_cell(plan, bm, data, l, p, streams, scheme):
     """Run cell (l, p)'s draws on `streams` as one stacked filter, row r
     bit-identical to the draw on streams[r] alone. Returns (traces (R, n),
     each row's Euler-step count, errors of the failed rows)."""
     counter = CostCounter()
     sched, lvl = plan.schedule, Level(l)
-    if not single:
+    if plan.kind != "single":
         num, den, errors = (
             pf_rows(bm, data, sched, p, lvl, streams, counter) if l == 0
             else cpf_rows(bm, data, sched, p, lvl, streams, scheme, counter))
@@ -311,40 +308,34 @@ def _run_cell(plan, bm, data, l, p, streams, scheme, single):
     return traces, counter.euler_steps, errors
 
 
-def _one_draw(plan, bm, data, l, p, stream, scheme, single):
-    """The XiSample of one draw: the one-row call of _run_cell."""
-    if plan.level_pmf.mass(l) <= 0.0:
-        raise InvalidRate(f"level {l} carries no mass under this plan")
-    if not single and plan.pmf_p(l).mass(p) <= 0.0:
-        raise InvalidRate(f"index p={p} carries no mass at level {l}")
-    check_scheme(scheme)
-    traces, cost, errors = _run_cell(plan, bm, data, l, p, [stream], scheme, single)
-    if errors:
-        raise errors[0]
-    return XiSample(l, p, float(traces[0, -1]), float(plan.level_weight(l)), cost, traces[0])
-
-
 def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
-    """Run the (coupled) filter for indices (l, p) and form Xi_{l,p}.
+    """Run the (coupled) filter for indices (l, p) and form Xi_{l,p}: the
+    one-row call of the engine behind unbiased_estimate.
 
     For l = 0 this is the combined level-0 filter estimate through batch p
     minus the one through batch p-1 (zero for p = 0); for l >= 1 the same
     difference of combined coupled increments. The difference is divided by
     the conditional mass P_P(p | l); the level weight 1/P_L(l) is reported
     separately as `weight`.
-    """
-    return _one_draw(plan, bm, data, l, p, stream, scheme, single=False)
 
-
-def draw_xi_single(plan, bm, data, l, stream, scheme="wasserstein"):
-    """One level-only randomized draw (the full composition, no p index).
-
-    For l = 0: the combined level-0 filter with N_0 particles. For l >= 1:
-    a sample-size-weighted mix of an independent level-l filter with
+    A level-only plan's draw is the cell (l, l), the full composition: for
+    l = 0 the combined level-0 filter with N_0 particles; for l >= 1 a
+    sample-size-weighted mix of an independent level-l filter with
     N_l - N_{l-1} particles and the fine marginal of a coupled filter with
     N_{l-1} pairs, minus that coupled filter's coarse marginal.
     """
-    return _one_draw(plan, bm, data, l, l, stream, scheme, single=True)
+    if int(l) != l or int(p) != p:
+        raise InvalidRate(f"the indices must be integers, got l={l!r}, p={p!r}")
+    l, p = int(l), int(p)
+    if plan.level_pmf.mass(l) <= 0.0:
+        raise InvalidRate(f"level {l} carries no mass under this plan")
+    if plan.pmf_p(l).mass(p) <= 0.0:
+        raise InvalidRate(f"index p={p} carries no mass at level {l}")
+    check_scheme(scheme)
+    traces, cost, errors = _run_cell(plan, bm, data, l, p, [stream], scheme)
+    if errors:
+        raise errors[0]
+    return XiSample(l, p, float(traces[0, -1]), float(plan.level_weight(l)), cost, traces[0])
 
 
 @dataclass(frozen=True)
@@ -379,8 +370,6 @@ def _sample_indices(plan, gen, m):
     """Vectorized (l, p) sampling with a fixed stream-consumption layout."""
     ls = plan.level_pmf.sample(gen, m)
     u = gen.random(m)
-    if not plan.p_pmfs:
-        return ls, ls.copy()
     ps = np.zeros(m, dtype=np.int64)
     for l in np.unique(ls):
         sel = ls == l
@@ -422,23 +411,36 @@ def _check_draw_count(m):
 _MAX_GENERATORS = 24
 
 
-def _chunk_rows(l, p, single):
+def _chunk_rows(l, p):
     """How many draws of cell (l, p) one chunk stacks."""
-    return max(1, _MAX_GENERATORS // (l + 1 if single else p + 1))
+    return max(1, _MAX_GENERATORS // (p + 1))
 
 
-def _chunks(ls, ps, single):
+def _chunks(ls, ps):
     """The draws grouped by cell (l, p) in cell order, each cell cut into
     chunks of consecutive draw indices: a list of (l, p, indices)."""
     chunks = []
     for l, p in sorted(set(zip(ls.tolist(), ps.tolist()))):
         idx = np.flatnonzero((ls == l) & (ps == p))
-        rows = _chunk_rows(l, p, single)
+        rows = _chunk_rows(l, p)
         chunks += [(l, p, idx[i:i + rows]) for i in range(0, len(idx), rows)]
     return chunks
 
 
-def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget):
+def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
+                      mode="strict", cost_budget=None):
+    """Average m independent randomized draws of any plan.
+
+    Each draw i gets its own keyed stream, so the result is bit-identical
+    for any number of worker processes (`threads`, an integer >= 1). In
+    "strict" mode the first failed draw aborts the run; in "permissive" mode
+    failed draws are retried on fresh sub-streams (up to a small cap) and
+    the retry count is reported.
+
+    cost_budget, if given, bounds the per-draw Euler-step cost up front;
+    exceeding it raises CostBudgetExceeded. This is the guard rail for
+    unbounded plans, whose expected cost is infinite.
+    """
     m = _check_draw_count(m)
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown failure mode {mode!r}")
@@ -455,9 +457,8 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
                 f"a sampled draw needs {worst} Euler steps, over the budget of {cost_budget}"
             )
 
-    single = plan.kind == "single"
-    role = ROLE_SINGLE if single else ROLE_FILTER
-    chunks = _chunks(ls, ps, single)
+    role = ROLE_SINGLE if plan.kind == "single" else ROLE_FILTER
+    chunks = _chunks(ls, ps)
 
     def work(c):
         # the chunk's traces, costs and retries, and each failed draw's final
@@ -468,7 +469,7 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
         streams = [root.child(int(i) + 1, role) for i in idx]
         for attempt in range(_MAX_RETRIES + 1):
             traces[rows], costs[rows], errors = _run_cell(
-                plan, bm, data, l, p, streams, scheme, single)
+                plan, bm, data, l, p, streams, scheme)
             retries[rows] = attempt
             failed = {int(rows[j]): err for j, err in errors.items()}
             if not errors or mode == "strict":
@@ -488,46 +489,20 @@ def _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
     return _reduce_draws(plan, ls, ps, traces, costs, retries)
 
 
-def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
-                      mode="strict", cost_budget=None):
-    """Average m independent double-randomized draws.
-
-    Each draw i gets its own keyed stream, so the result is bit-identical
-    for any number of worker processes (`threads`, an integer >= 1). In
-    "strict" mode the first failed draw aborts the run; in "permissive" mode
-    failed draws are retried on fresh sub-streams (up to a small cap) and
-    the retry count is reported.
-
-    cost_budget, if given, bounds the per-draw Euler-step cost up front;
-    exceeding it raises CostBudgetExceeded. This is the guard rail for
-    unbounded plans, whose expected cost is infinite.
-    """
-    if plan.kind == "single":
-        raise InvalidRate("use single_randomized_estimate for level-only plans")
-    return _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
-
-
-def single_randomized_estimate(plan, bm, data, m, seed, threads=1,
-                               scheme="wasserstein", mode="strict",
-                               cost_budget=None):
-    """Average m independent level-only randomized draws (no p index)."""
-    if plan.kind != "single":
-        raise InvalidRate("single_randomized_estimate needs a level-only plan")
-    return _run_randomized(plan, bm, data, m, seed, threads, scheme, mode, cost_budget)
-
-
-def randomized_table_mean(plan, table, m, seed, with_stderr=False):
+def randomized_table_mean(plan, table, m, seed):
     """The randomization machinery applied to a fixed table of values.
 
     table[l, p] stands in for the combined estimate at indices (l, p); each
     draw returns weight(l) * (table[l, p] - table[l, p-1]) / P_P(p | l), so
     the exact expectation is the sum over l of table[l, p_max(l)]. Used to
     check unbiasedness of the sampling/weighting alone, with no filtering
-    noise in the way.
+    noise in the way. Level-only plans have no table of sample sizes.
 
-    Returns the sample mean, or (mean, stderr) when with_stderr is set.
+    Returns the sample mean and its standard error.
     """
     m = _check_draw_count(m)
+    if plan.kind == "single":
+        raise InvalidRate("this plan does not randomize the sample size")
     table = np.asarray(table, dtype=float)
     root = RngStream(seed)
     gen = root.child(0, ROLE_PLAN).gen
@@ -540,7 +515,5 @@ def randomized_table_mean(plan, table, m, seed, with_stderr=False):
         mass_p[sel] = plan.pmf_p(int(l)).mass(ps[sel])
     vals = plan.level_weight(ls) * (v - prev) / mass_p
     mean = float(np.sum(vals)) / m
-    if not with_stderr:
-        return mean
     stderr = float(np.std(vals, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
     return mean, stderr

@@ -463,6 +463,59 @@ def test_every_level_is_checked_before_the_first_runs(tmp_path, monkeypatch, cap
     assert not (tmp_path / "s").exists()
 
 
+def _write_text(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def test_malformed_data_files_are_configuration_errors(tmp_path, capsys):
+    # a data file without a y column, or with a header and no rows, exits 1
+    # naming the file, before any output directory is made
+    no_y = _write_text(tmp_path / "no_y.csv", "k,x\n1,0.5\n")
+    empty = _write_text(tmp_path / "empty.csv", "k,y\n")
+    short = _write_text(tmp_path / "short.csv", "k,y\n1,0.5\n2\n")
+    cases = [
+        (["reference", "--model", "OU", "--data", no_y], no_y),
+        (["reference", "--model", "OU", "--data", short], short),
+        (["reference", "--model", "OU", "--data", empty], empty),
+        (["run-unbiased", "--model", "OU", "--data", empty, "--m", "4", "--lmax", "1"], empty),
+        (["run-single-rand", "--model", "OU", "--data", no_y, "--m", "4", "--lmax", "1"], no_y),
+        (["run-mlpf", "--model", "OU", "--data", empty, "--levels", "1",
+          "--repeats", "2"], empty),
+    ]
+    for i, (argv, path) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and path in err
+        assert not out.exists()
+
+
+def test_malformed_reference_and_curve_files_are_configuration_errors(tmp_path, capsys):
+    data = _generate(tmp_path)
+    no_mean = _write_text(tmp_path / "ref.csv", "k,var\n1,0.1\n2,0.1\n3,0.1\n")
+    short_ref = _write_text(tmp_path / "short_ref.csv", "k,mean\n1,0.1\n2\n3,0.1\n")
+    no_mse = _write_text(tmp_path / "curve.csv", "L,cost\n1,10.0\n")
+    good = _write_text(tmp_path / "good.csv", "M,mse,cost\n4,0.1,10.0\n2,0.2,5.0\n")
+    cases = [
+        (["run-unbiased", "--data", data, "--m", "4", "--lmax", "1",
+          "--reference", no_mean], no_mean, "'mean'"),
+        (["run-mlpf", "--data", data, "--levels", "1", "--repeats", "2",
+          "--reference", no_mean], no_mean, "'mean'"),
+        (["run-unbiased", "--data", data, "--m", "4", "--lmax", "1",
+          "--reference", short_ref], None, "could not convert"),
+        (["compare", "--unbiased", good, "--mlpf", no_mse], no_mse, "'mse'"),
+        (["compare", "--unbiased", no_mse, "--mlpf", good], no_mse, "'mse'"),
+    ]
+    for i, (argv, path, column) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main(argv + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "configuration error" in err and column in err
+        assert path is None or path in err
+        assert not out.exists()
+
+
 def test_main_exit_code_for_io_failures(tmp_path, capsys):
     code = main(["compare", "--unbiased", str(tmp_path / "nope.csv"),
                  "--mlpf", str(tmp_path / "nope2.csv"),

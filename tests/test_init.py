@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import unbiasedpf
@@ -9,6 +10,13 @@ import unbiasedpf
 
 def test_all_has_no_duplicates():
     assert len(unbiasedpf.__all__) == len(set(unbiasedpf.__all__))
+
+
+def test_readme_counts_the_public_names():
+    # the README states the size of the public surface; keep it true
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    stated = re.findall(r"`unbiasedpf\.__all__`, (\d+) names", " ".join(readme.split()))
+    assert stated == [str(len(unbiasedpf.__all__))]
 
 
 def test_every_exported_name_resolves():

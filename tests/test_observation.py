@@ -259,6 +259,21 @@ def test_dataset_round_trip(tmp_path, ou):
     assert bare.model == ""
 
 
+@pytest.mark.parametrize("text,message", [
+    ("k,x\n1,0.5\n", "has no 'y' column"),
+    ("", "has no 'y' column"),
+    ("k,y\n", "has no observations"),
+    ("k,y\n1,0.5\n2\n", "line 3: could not convert"),
+    ("k,y\n1,abc\n", "line 2: could not convert"),
+])
+def test_read_dataset_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=message) as info:
+        read_dataset(path)
+    assert str(path) in str(info.value)
+
+
 def test_observation_labels_are_one_based():
     d = DataSet(y=[0.5, -0.5])
     assert list(d.observations()) == [(1, 0.5), (2, -0.5)]

@@ -17,7 +17,6 @@ from unbiasedpf import (
     cost_of_draw,
     default_base_size,
     draw_xi,
-    draw_xi_single,
     expected_draw_cost,
     make_benchmark,
     make_single_rand_plan,
@@ -26,7 +25,6 @@ from unbiasedpf import (
     mlpf_estimate,
     randomized_table_mean,
     single_rand_draw_cost,
-    single_randomized_estimate,
     unbiased_estimate,
     RngStream,
 )
@@ -100,6 +98,9 @@ def test_theory_plan_rates():
     assert pp.mass(1) / pp.mass(0) == pytest.approx(2.5121, abs=1e-3)
     assert plan.p_max(0) is None
     assert math.isinf(expected_draw_cost(plan, 5))
+    # one shared sample-size table, held once per level
+    assert len(plan.p_pmfs) == len(plan.level_pmf)
+    assert all(q is pp for q in plan.p_pmfs)
 
 
 def test_theory_plan_log_weighted_levels():
@@ -143,16 +144,26 @@ def test_truncated_plan_tables():
 def test_single_plan_tables():
     plan = make_single_rand_plan(2, 10)
     assert plan.kind == "single"
-    assert plan.p_pmfs == ()
+    # a level-only draw is the cell (l, l): each level's sample-size pmf is
+    # the point mass at p = l
+    assert [(q.start, q.p.tolist()) for q in plan.p_pmfs] == [(0, [1.0]), (1, [1.0]), (2, [1.0])]
+    assert [plan.p_max(l) for l in range(3)] == [0, 1, 2]
     want = [0.15356015093089656, 0.38575939627641376, 0.46068045279268965]
     assert np.allclose(plan.level_pmf.mass(np.arange(3)), want, atol=1e-12)
     assert plan.level_weight(1) == pytest.approx(2.5922894157669605, abs=1e-12)
-    with pytest.raises(InvalidRate):
-        plan.pmf_p(0)
 
     free = make_single_rand_plan(None, 10)
     assert free.unbounded and free.label == "unbiased"
     assert math.isinf(expected_draw_cost(free, 4))
+    assert len(free.p_pmfs) == len(free.level_pmf)
+
+
+def test_plan_labels():
+    # the label follows the supports: unbounded plans are unbiased
+    assert make_theory_plan(1.0, 0.9, 10).label == "unbiased"
+    assert make_truncated_plan(3, 10).label == "bias-controlled"
+    assert make_single_rand_plan(3, 10).label == "bias-controlled"
+    assert make_single_rand_plan(None, 10).label == "unbiased"
 
 
 def test_default_base_size():
@@ -198,24 +209,34 @@ def test_draw_xi_contracts(ou, ou_data_n3):
 def test_draw_xi_single_contracts(ou, ou_data_n3):
     plan = make_single_rand_plan(2, 4)
     for l in range(3):
-        s = draw_xi_single(plan, ou, ou_data_n3, l, RngStream(71, (l,)))
+        s = draw_xi(plan, ou, ou_data_n3, l, l, RngStream(71, (l,)))
+        assert s.l == s.p == l
         assert s.cost == single_rand_draw_cost(l, 3, plan.schedule)
         assert s.weight == pytest.approx(1.0 / plan.level_pmf.mass(l), abs=1e-12)
         assert s.xi == s.trace[-1]
 
 
 def test_draws_reject_levels_without_mass(ou, ou_data_n3, monkeypatch):
-    # a level outside the plan's support fails at the boundary, before any
-    # filter runs, for both kinds of draw
+    # a level outside the plan's support, a level-only draw off the cell
+    # (l, l), or an index that is not an integer fails at the boundary,
+    # before any filter runs
     def no_filter(*args):
         raise AssertionError("a filter ran")
 
     monkeypatch.setattr(randomization, "_run_cell", no_filter)
+    single = make_single_rand_plan(3, 10)
     for l in (4, -1):
         with pytest.raises(InvalidRate, match=f"level {l} carries no mass"):
             draw_xi(make_truncated_plan(3, 10), ou, ou_data_n3, l, 0, RngStream(72))
         with pytest.raises(InvalidRate, match=f"level {l} carries no mass"):
-            draw_xi_single(make_single_rand_plan(3, 10), ou, ou_data_n3, l, RngStream(72))
+            draw_xi(single, ou, ou_data_n3, l, l, RngStream(72))
+    for l, p in ((2, 0), (1, 2), (0, 1)):
+        with pytest.raises(InvalidRate, match=f"index p={p} carries no mass at level {l}"):
+            draw_xi(single, ou, ou_data_n3, l, p, RngStream(72))
+    for l, p in ((1.5, 0), (1, 0.5), (np.float64(2.5), 0)):
+        for plan in (make_truncated_plan(3, 10), single):
+            with pytest.raises(InvalidRate, match="must be integers"):
+                draw_xi(plan, ou, ou_data_n3, l, p, RngStream(72))
 
 
 def test_sample_indices_respect_supports():
@@ -240,7 +261,7 @@ def test_randomized_table_mean_is_unbiased():
     gen = np.random.default_rng(99)
     table = gen.normal(size=(4, 4))
     exact = sum(table[l, 3 - l] for l in range(4))
-    mean, se = randomized_table_mean(plan, table, 200000, seed=12, with_stderr=True)
+    mean, se = randomized_table_mean(plan, table, 200000, seed=12)
     assert abs(mean - exact) < 3 * se
     assert se < 0.1
 
@@ -272,8 +293,8 @@ def test_estimates_are_thread_invariant(ou, ou_data_n3):
     assert serial.total_cost == pooled.total_cost
 
     single = make_single_rand_plan(2, 4)
-    a = single_randomized_estimate(single, ou, ou_data_n3, 30, seed=34, threads=1)
-    b = single_randomized_estimate(single, ou, ou_data_n3, 30, seed=34, threads=8)
+    a = unbiased_estimate(single, ou, ou_data_n3, 30, seed=34, threads=1)
+    b = unbiased_estimate(single, ou, ou_data_n3, 30, seed=34, threads=8)
     assert a.value == b.value
     assert np.array_equal(a.draws["xi"], b.draws["xi"])
 
@@ -286,11 +307,6 @@ def test_single_draw_estimate_has_nan_spread(ou, ou_data_n3):
 
 def test_kind_guards(ou, ou_data_n3):
     double = make_truncated_plan(2, 4)
-    single = make_single_rand_plan(2, 4)
-    with pytest.raises(InvalidRate):
-        unbiased_estimate(single, ou, ou_data_n3, 10, seed=1)
-    with pytest.raises(InvalidRate):
-        single_randomized_estimate(double, ou, ou_data_n3, 10, seed=1)
     with pytest.raises(InvalidRate):
         unbiased_estimate(double, ou, ou_data_n3, 0, seed=1)
     with pytest.raises(ValueError):
@@ -303,8 +319,8 @@ def test_threads_guard(ou, ou_data_n3, threads):
         unbiased_estimate(make_truncated_plan(2, 4), ou, ou_data_n3, 10, seed=1,
                           threads=threads)
     with pytest.raises(InvalidRate):
-        single_randomized_estimate(make_single_rand_plan(2, 4), ou, ou_data_n3, 10,
-                                   seed=1, threads=threads)
+        unbiased_estimate(make_single_rand_plan(2, 4), ou, ou_data_n3, 10, seed=1,
+                          threads=threads)
     with pytest.raises(InvalidRate):
         mlpf_estimate(ou, ou_data_n3, allocate(1, "constant"), threads=threads)
 
@@ -316,8 +332,8 @@ def test_scheme_guard(ou, ou_data_n3):
         unbiased_estimate(make_truncated_plan(0, 10), ou, ou_data_n3, 10, seed=1,
                           scheme="antithetic")
     with pytest.raises(ValueError):
-        single_randomized_estimate(make_single_rand_plan(0, 10), ou, ou_data_n3, 10,
-                                   seed=1, scheme="antithetic")
+        unbiased_estimate(make_single_rand_plan(0, 10), ou, ou_data_n3, 10, seed=1,
+                          scheme="antithetic")
     with pytest.raises(ValueError):
         mlpf_estimate(ou, ou_data_n3, allocate(0, "constant"), scheme="bogus")
 
@@ -383,8 +399,14 @@ def test_randomized_table_mean_validates_the_draw_count():
             randomized_table_mean(plan, table, bad, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        mean, se = randomized_table_mean(plan, table, 1, seed=1, with_stderr=True)
+        mean, se = randomized_table_mean(plan, table, 1, seed=1)
     assert math.isfinite(mean) and math.isnan(se)
+
+
+def test_randomized_table_mean_rejects_level_only_plans():
+    table = np.arange(9.0).reshape(3, 3)
+    with pytest.raises(InvalidRate, match="does not randomize the sample size"):
+        randomized_table_mean(make_single_rand_plan(2, 10), table, 10, seed=1)
 
 
 def test_draws_equal_recorded_values(ou, ou_data, nld, nld_data):
@@ -393,11 +415,9 @@ def test_draws_equal_recorded_values(ou, ou_data, nld, nld_data):
     golden = json.loads((Path(__file__).parent / "golden_draws.json").read_text())
     for name, bm, data in (("OU", ou, ou_data), ("NLD", nld, nld_data)):
         for scheme in SCHEMES:
-            for kind, run, plan in (
-                ("double", unbiased_estimate, make_truncated_plan(3, 10)),
-                ("single", single_randomized_estimate, make_single_rand_plan(3, 10)),
-            ):
-                est = run(plan, bm, data, 40, seed=3, scheme=scheme)
+            for kind, plan in (("double", make_truncated_plan(3, 10)),
+                               ("single", make_single_rand_plan(3, 10))):
+                est = unbiased_estimate(plan, bm, data, 40, seed=3, scheme=scheme)
                 want = golden[f"{name}-{scheme}-{kind}"]
                 assert [v.hex() for v in est.per_time.tolist()] == want["per_time"]
                 assert [v.hex() for v in est.draws["xi"].tolist()] == want["xi"]
@@ -422,9 +442,10 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
         _assert_same_draws(est, alone)
 
         single = make_single_rand_plan(3, 4)
-        est = single_randomized_estimate(single, bm, data, 40, seed=8, scheme=scheme)
+        est = unbiased_estimate(single, bm, data, 40, seed=8, scheme=scheme)
         assert set(est.draws["l"].tolist()) == {0, 1, 2, 3}
-        alone = [draw_xi_single(single, bm, data, l, root.child(i + 1, ROLE_SINGLE), scheme)
+        assert np.array_equal(est.draws["l"], est.draws["p"])
+        alone = [draw_xi(single, bm, data, l, l, root.child(i + 1, ROLE_SINGLE), scheme)
                  for i, l in enumerate(est.draws["l"].tolist())]
         _assert_same_draws(est, alone)
 
