@@ -251,18 +251,22 @@ def _benchmark_for(cfg, data=None):
 
 
 def _read_csv(path, what, columns):
-    """The rows of a CSV file as dicts, a short row's missing cells read as
-    ""; ConfigError naming the file when its header lacks one of `columns`."""
+    """The rows of a CSV file as dicts, the cells of `columns` as floats;
+    ConfigError naming the file when its header lacks one of `columns`, and
+    the line when one of their cells is not a number (or is missing)."""
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh, restval="")
         for col in columns:
             if col not in (reader.fieldnames or ()):
                 raise ConfigError(f"{what} {path} has no {col!r} column")
-        return list(reader)
+        try:
+            return [{**row, **{col: float(row[col]) for col in columns}} for row in reader]
+        except ValueError as err:
+            raise ConfigError(f"{what} {path}, line {reader.line_num}: {err}") from None
 
 
 def _read_reference_means(path, n):
-    means = [float(row["mean"]) for row in _read_csv(path, "reference file", ["mean"])]
+    means = [row["mean"] for row in _read_csv(path, "reference file", ["mean"])]
     if len(means) < n:
         raise ConfigError(
             f"reference file {path} has {len(means)} rows, need {n}"
@@ -445,8 +449,7 @@ def run_randomized(cfg):
         _write_csv(mse_path, ["M", "groups", "mse", "cost"], rows)
         artifacts["mse_vs_cost"] = mse_path
 
-    _emit_plot_script(out)
-    artifacts["plot"] = os.path.join(out, "plot_results.py")
+    artifacts["plot"] = _emit_plot_script(out)
     return artifacts
 
 
@@ -500,8 +503,7 @@ def run_mlpf(cfg):
         {"regime": regime, "config": _config_echo(cfg)},
     )
     artifacts["meta"] = os.path.join(out, "mlpf_meta.json")
-    _emit_plot_script(out)
-    artifacts["plot"] = os.path.join(out, "plot_results.py")
+    artifacts["plot"] = _emit_plot_script(out)
     return artifacts
 
 
@@ -538,17 +540,18 @@ def run_sweep(cfg):
     ls = np.array([r[0] for r in rows], dtype=float)
     lv = np.log2(np.array([r[1] for r in rows]))
     slope = float(np.polyfit(ls, lv, 1)[0]) if len(rows) > 1 else math.nan
+    meta = os.path.join(out, "variance_meta.json")
     _write_meta(
-        os.path.join(out, "variance_meta.json"),
+        meta,
         {"log2_variance_slope": _finite_or_none(slope), "scheme": scheme,
          "config": _config_echo(cfg)},
     )
-    return {"variance": path, "meta": os.path.join(out, "variance_meta.json")}
+    return {"variance": path, "meta": meta, "plot": _emit_plot_script(out)}
 
 
 def _read_mse_cost(path):
     pts = [
-        (row.get("L") or row.get("M"), float(row["mse"]), float(row["cost"]))
+        (row.get("L") or row.get("M"), row["mse"], row["cost"])
         for row in _read_csv(path, "curve file", ["mse", "cost"])
     ]
     if not pts:
@@ -556,7 +559,7 @@ def _read_mse_cost(path):
     return pts
 
 
-def compare_cost_ratio(unbiased_points, mlpf_points, max_levels=4):
+def compare_cost_ratio(unbiased_points, mlpf_points):
     """Cost ratio of the randomized estimator to the multilevel baseline.
 
     For each baseline point (label, mse, cost), the randomized curve's cost
@@ -565,7 +568,7 @@ def compare_cost_ratio(unbiased_points, mlpf_points, max_levels=4):
     randomized curve's range are dropped; if none remain a
     NonOverlappingRange is raised. Returns (rows, average) with rows
     (label, mse, baseline_cost, interpolated_cost, ratio), averaged over at
-    most the last `max_levels` rows.
+    most the last four rows (the finest baseline levels).
     """
     u = sorted(
         ((mse, cost) for _, mse, cost in unbiased_points if mse > 0 and cost > 0),
@@ -589,7 +592,7 @@ def compare_cost_ratio(unbiased_points, mlpf_points, max_levels=4):
         raise NonOverlappingRange(
             "no baseline MSE falls inside the randomized curve's MSE range"
         )
-    rows = rows[-max_levels:]
+    rows = rows[-4:]
     avg = float(np.mean([r[4] for r in rows]))
     return rows, avg
 
@@ -612,8 +615,7 @@ def run_compare(cfg):
         ["L", "mse", "mlpf_cost", "randomized_cost", "ratio"],
         all_rows,
     )
-    _emit_plot_script(out)
-    return {"cost_ratio": path, "average_ratio": f"{avg:.4g}"}
+    return {"cost_ratio": path, "average_ratio": f"{avg:.4g}", "plot": _emit_plot_script(out)}
 
 
 _PLOT_SCRIPT = '''"""Plot whatever result CSVs sit next to this script.

@@ -173,5 +173,5 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     check_scheme(scheme)
     p = check_size_index(p)
     result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, counter)
-    both = combined_table(result, schedule.batch_sizes(p))
+    both = combined_table(result, schedule.batch_sizes(p), level.l)
     return both[:, 0] - both[:, 1]

@@ -5,10 +5,6 @@ class FilterError(Exception):
     """Base class for every error this package raises deliberately."""
 
 
-class NumericalOverflow(FilterError):
-    """A simulated state left the representable range (non-finite values)."""
-
-
 class InvalidLevel(FilterError):
     """An operation was asked to run at a discretization level it does not support."""
 
@@ -25,12 +21,10 @@ class ModelMismatch(FilterError):
     """A reference solver was applied to a model outside its assumptions."""
 
 
-class DegenerateWeights(FilterError):
-    """Every particle weight underflowed to zero, so no filter update exists.
-
-    Carries enough context (level, sample-size index, time step) to locate
-    the failing replicate in a randomized run.
-    """
+class _Located(FilterError):
+    """An error of a filter run that carries enough context (level,
+    sample-size index, time step) to locate the failing replicate in a
+    randomized run."""
 
     def __init__(self, message, level=None, p=None, time_index=None):
         parts = [message]
@@ -47,6 +41,14 @@ class DegenerateWeights(FilterError):
         self.level = level
         self.p = p
         self.time_index = time_index
+
+
+class NumericalOverflow(_Located):
+    """A simulated state left the representable range (non-finite values)."""
+
+
+class DegenerateWeights(_Located):
+    """Every particle weight underflowed to zero, so no filter update exists."""
 
 
 class InvalidSimplex(FilterError):

@@ -182,15 +182,13 @@ def _nld_diffusion(x):
     return (1.0 / np.sqrt(1.0 + x * x))[..., None]
 
 
-def make_benchmark(name, link=None):
+def make_benchmark(name):
     """Build one of the named benchmark models.
 
     Parameters
     ----------
     name : str
         "OU", "Langevin", "GBM" or "NLD" (case-insensitive).
-    link : str, optional
-        Override the model's default observation link.
 
     Returns
     -------
@@ -206,7 +204,7 @@ def make_benchmark(name, link=None):
             constant_diffusion=True,
             name="OU",
         )
-        obs = ObservationModel("gaussian", link or "identity", scale=0.2)
+        obs = ObservationModel("gaussian", "identity", scale=0.2)
         params = {"theta": 1.0, "mu": 0.0, "tau2": 0.2}
         return BenchmarkModel("OU", dyn, obs, _phi_coordinate, params)
     if key == "langevin":
@@ -218,7 +216,7 @@ def make_benchmark(name, link=None):
             constant_diffusion=True,
             name="Langevin",
         )
-        obs = ObservationModel("gaussian", link or "log_var")
+        obs = ObservationModel("gaussian", "log_var")
         params = {"nu": 10.0}
         return BenchmarkModel("Langevin", dyn, obs, _phi_coordinate, params)
     if key == "gbm":
@@ -230,7 +228,7 @@ def make_benchmark(name, link=None):
             constant_diffusion=False,
             name="GBM",
         )
-        obs = ObservationModel("gaussian", link or "log_abs_eps", scale=0.01)
+        obs = ObservationModel("gaussian", "log_abs_eps", scale=0.01)
         params = {"mu": 0.02, "sigma": 0.2, "tau2": 0.01}
         return BenchmarkModel("GBM", dyn, obs, _phi_coordinate, params)
     if key == "nld":
@@ -242,7 +240,7 @@ def make_benchmark(name, link=None):
             constant_diffusion=False,
             name="NLD",
         )
-        obs = ObservationModel("laplace", link or "identity", scale=math.sqrt(0.1))
+        obs = ObservationModel("laplace", "identity", scale=math.sqrt(0.1))
         params = {"theta": 1.0, "mu": 0.0, "s": math.sqrt(0.1)}
         return BenchmarkModel("NLD", dyn, obs, _phi_coordinate, params)
     raise UnknownModel(f"no benchmark model named {name!r}")

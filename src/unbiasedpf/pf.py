@@ -150,11 +150,11 @@ def pf_step(model, level, gens, x, log_w, counter=None):
     return transition(model, gather(x, idx), level, gens, counter)
 
 
-def combined_rows(sizes, num, den, q, errors):
+def combined_rows(sizes, num, den, q, errors, l):
     """The size-weighted ratio through batch q, sum_j N_j num_j / sum_j N_j den_j
     for j <= q, shape (R, n, sides), of run_batches' (n, sides, R, p+1) batch
-    values. A row with zero combined mass, unless already in `errors`, gets
-    the DegenerateWeights of its first such time there."""
+    values at level l. A row with zero combined mass, unless already in
+    `errors`, gets the DegenerateWeights of its first such time there."""
     s = np.asarray(sizes[: q + 1], dtype=float)
 
     def dots(x):
@@ -170,15 +170,15 @@ def combined_rows(sizes, num, den, q, errors):
     out = np.divide(dots(num), total, out=np.zeros(total.shape), where=good)
     for r in np.flatnonzero(~good.all(axis=(1, 2))).tolist():
         k = int(np.argwhere(~good[r])[0, 0])
-        errors.setdefault(r, DegenerateWeights(_ZERO_MASS, p=q, time_index=k))
+        errors.setdefault(r, DegenerateWeights(_ZERO_MASS, level=l, p=q, time_index=k))
     return out
 
 
-def _shared_scale(log_gs):
-    """Each row's largest log-weight over the batches, as Python's max over
-    the batch maxima finds it: a NaN maximum after batch 0 is passed over."""
-    shift = log_gs[0].max(axis=-1)
-    for m in (lg.max(axis=-1) for lg in log_gs[1:]):
+def _shared_scale(maxima):
+    """Each row's largest log-weight, from the batches' per-row maxima, as
+    Python's max over them finds it: a NaN maximum after batch 0 is passed over."""
+    shift = maxima[0]
+    for m in maxima[1:]:
         shift = np.where(m > shift, m, shift)
     return shift
 
@@ -206,7 +206,8 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
     At each time every cloud is weighted by log_g, each side gets its batch
     values of bm.phi and, but after the last time, step(gens, *clouds,
     *log_weights) resamples and propagates each batch. A failing row leaves
-    the stack; errors[row] is the error its run alone raises there. Returns
+    the stack; errors[row] is the error its run alone raises there, with l,
+    p and the time k of the failed weights or overflowed states. Returns
     (num, den, errors), num and den (n, sides, R, p+1); a failed row's
     entries are meaningless.
     """
@@ -223,15 +224,15 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
         live = live[~bad]
         batches = [[a[~bad] for a in arrays] for arrays in batches]
 
-    def advance(q, advanced):
+    def advance(q, advanced, k):
         batches[q] = list(advanced)
         bad = ~np.logical_and.reduce([np.isfinite(c).all(axis=(1, 2)) for c in advanced])
         if bad.any():
-            drop(bad, overflow_error(model, level, coupled=len(advanced) == 2))
+            drop(bad, overflow_error(model, level, len(advanced) == 2, p, k))
 
     for q, size in enumerate(schedule.batch_sizes(p)):
         if len(live):
-            advance(q, start(gens[q][live].tolist(), np.tile(x0, (len(live), size, 1))))
+            advance(q, start(gens[q][live].tolist(), np.tile(x0, (len(live), size, 1))), 0)
     sides = len(batches[0])
     num, den = np.zeros((2, n, sides, count, p + 1))
     for k in range(n):
@@ -240,26 +241,25 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
         for arrays in batches:  # log_g of each (R*N, d) view
             arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
                               for x in arrays[:sides]]
+        # each batch's per-row log-weight maxima, (p+1, sides, R), found once
+        peaks = np.array([[lw.max(axis=-1) for lw in arrays[sides:]] for arrays in batches])
         for side in range(sides):
-            shift = _shared_scale([arrays[sides + side] for arrays in batches])
+            shift = _shared_scale(peaks[:, side])
             bad = ~np.isfinite(shift)
             if bad.any():
                 drop(bad, [_log_max_error(m, level.l, p, k) for m in shift[bad].tolist()])
-                shift = shift[~bad]
+                shift, peaks = shift[~bad], peaks[..., ~bad]
             clouds, logs = zip(*[arrays[side::sides] for arrays in batches])
             num[k, side, live], den[k, side, live] = _batch_values(clouds, logs, bm.phi, shift)
-        for q in range(p + 1 if k < n - 1 else 0):
-            if not len(live):
-                break
-            try:
-                advance(q, step(gens[q][live].tolist(), *batches[q]))
-            except DegenerateWeights:  # raised before the step draws: drop, step the rest
-                logs = batches[q][sides:]
-                bad = ~np.logical_and.reduce([np.isfinite(lw.max(axis=-1)) for lw in logs])
-                lost = "batch filter lost all weight"
-                drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
-                if len(live):
-                    advance(q, step(gens[q][live].tolist(), *batches[q]))
+        if k == n - 1:
+            break
+        bad = ~np.isfinite(peaks).all(axis=(0, 1))  # a batch that cannot be resampled
+        if bad.any():
+            lost = "batch filter lost all weight"
+            drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
+        for q in range(p + 1):
+            if len(live):
+                advance(q, step(gens[q][live].tolist(), *batches[q]), k + 1)
     return num, den, errors
 
 
@@ -270,15 +270,15 @@ def check_size_index(p):
     return int(p)
 
 
-def combined_table(result, sizes):
-    """combined_rows of a one-row run_batches result for every q, shape
-    (n, sides, p+1). Raises the row's error, or else the zero-mass error of
-    the lowest such q."""
+def combined_table(result, sizes, l):
+    """combined_rows of a one-row level-l run_batches result for every q,
+    shape (n, sides, p+1). Raises the row's error, or else the zero-mass
+    error of the lowest such q."""
     num, den, errors = result
-    out = np.stack([combined_rows(sizes, num, den, q, errors)[0] for q in range(len(sizes))], -1)
+    out = [combined_rows(sizes, num, den, q, errors, l)[0] for q in range(len(sizes))]
     if errors:
         raise errors[0]
-    return out
+    return np.stack(out, -1)
 
 
 def pf_rows(bm, data, schedule, p, level, streams, counter=None):
@@ -304,4 +304,4 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     """
     p = check_size_index(p)
     result = pf_rows(bm, data, schedule, p, level, [stream], counter)
-    return combined_table(result, schedule.batch_sizes(p))[:, 0]
+    return combined_table(result, schedule.batch_sizes(p), level.l)[:, 0]

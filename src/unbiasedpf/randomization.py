@@ -62,27 +62,23 @@ class Pmf:
         self.bounded = bool(bounded)
 
     @classmethod
-    def from_function(cls, fn, start=0, bounded=True, tol=1e-18, max_terms=4096):
-        """Tabulate fn(k) for k = start, start+1, ... until terms are negligible.
-
-        Stops once a term falls below tol times the running total (the
-        point past which float64 summation cannot see further terms).
-        """
+    def from_function(cls, fn):
+        """The unbounded pmf proportional to fn(k), k = 0, 1, ..., tabulated
+        until a term falls below 1e-18 times the running total (past which
+        float64 summation cannot see further terms)."""
         masses = []
         total = 0.0
-        k = start
-        while k < start + max_terms:
+        for k in range(4096):
             v = float(fn(k))
             if v < 0 or not math.isfinite(v):
                 raise InvalidRate(f"pmf term at {k} is invalid: {v!r}")
             masses.append(v)
             total += v
-            if total > 0 and v < tol * total:
+            if total > 0 and v < 1e-18 * total:
                 break
-            k += 1
         else:
             raise InvalidRate("pmf tail did not become negligible; check the rates")
-        return cls(masses, start=start, bounded=bounded)
+        return cls(masses, bounded=False)
 
     def __len__(self):
         return len(self.p)
@@ -100,15 +96,18 @@ class Pmf:
         out = np.where(inside, self.p[np.clip(idx, 0, len(self.p) - 1)], 0.0)
         return out if k.ndim else float(out)
 
-    def sample(self, gen, size=None):
-        """Inverse-CDF sampling; one uniform block per call."""
-        u = gen.random(size)
+    def index(self, u):
+        """The inverse CDF: the index that each uniform u in [0, 1) selects."""
         return self.start + np.searchsorted(self.cum, u, side="right")
+
+    def sample(self, gen, size):
+        """Inverse-CDF sampling; one uniform block per call."""
+        return self.index(gen.random(size))
 
 
 def _log_weighted_mass(k):
     """The summable mass 2^-k (k+1) log2(k+2)^2 of the canonical sample-size
-    pmf and of the log-weighted level pmf."""
+    pmf and of the level-only plans' level pmf."""
     return 2.0 ** (-k) * (k + 1.0) * math.log2(k + 2.0) ** 2
 
 
@@ -158,26 +157,19 @@ def default_base_size(model):
     return 10 if model.constant_diffusion else 50
 
 
-def make_theory_plan(beta, rho, n0, level_family="geometric"):
+def make_theory_plan(beta, rho, n0):
     """Unbounded plan with the rates the variance/cost analysis calls for.
 
-    P_L(l) is proportional to 2^(-beta*rho*l) for rho in (0, 1) (the
-    "geometric" family), or to the summable 2^-l (l+1) log2(l+2)^2 family
-    when level_family="log_weighted". P_P(p) is proportional to
-    2^-p (p+1) log2(p+2)^2 with N_p = n0 2^p.
+    P_L(l) is proportional to 2^(-beta*rho*l) for rho in (0, 1), and P_P(p)
+    to 2^-p (p+1) log2(p+2)^2 with N_p = n0 2^p.
     """
     if not 0 < rho < 1:
         raise InvalidRate(f"rho must lie in (0, 1), got {rho!r}")
     if not 0 < beta <= 2:
         raise InvalidRate(f"beta must lie in (0, 2], got {beta!r}")
-    if level_family == "geometric":
-        rate = beta * rho
-        level_pmf = Pmf.from_function(lambda l: 2.0 ** (-rate * l), bounded=False)
-    elif level_family == "log_weighted":
-        level_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
-    else:
-        raise InvalidRate(f"unknown level family {level_family!r}")
-    p_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
+    rate = beta * rho
+    level_pmf = Pmf.from_function(lambda l: 2.0 ** (-rate * l))
+    p_pmf = Pmf.from_function(_log_weighted_mass)
     return RandomizationPlan(
         kind="theory",
         level_pmf=level_pmf,
@@ -225,7 +217,7 @@ def make_single_rand_plan(l_max, n0):
     matched-cost configuration used for comparisons.
     """
     if l_max is None:
-        level_pmf = Pmf.from_function(_log_weighted_mass, bounded=False)
+        level_pmf = Pmf.from_function(_log_weighted_mass)
     else:
         if int(l_max) != l_max or l_max < 0:
             raise InvalidRate(f"l_max must be a non-negative integer, got {l_max!r}")
@@ -277,6 +269,13 @@ class XiSample:
     trace: np.ndarray
 
 
+def _xi(plan, l, p, increment):
+    """Xi_{l,p} = (increment(p) - increment(p-1)) / P_P(p | l), increment(q)
+    being the level-l increment through batch q and increment(-1) = 0."""
+    prev = increment(p - 1) if p > 0 else 0.0
+    return (increment(p) - prev) / plan.pmf_p(l).mass(p)
+
+
 def _run_cell(plan, bm, data, l, p, streams, scheme):
     """Run cell (l, p)'s draws on `streams` as one stacked filter, row r
     bit-identical to the draw on streams[r] alone. Returns (traces (R, n),
@@ -288,23 +287,21 @@ def _run_cell(plan, bm, data, l, p, streams, scheme):
             pf_rows(bm, data, sched, p, lvl, streams, counter) if l == 0
             else cpf_rows(bm, data, sched, p, lvl, streams, scheme, counter))
 
-        def increments(q):
-            both = combined_rows(sched.batch_sizes(p), num, den, q, errors)
+        def increment(q):
+            both = combined_rows(sched.batch_sizes(p), num, den, q, errors, l)
             return both[:, :, 0] - (both[:, :, 1] if l else 0.0)
 
-        prev = increments(p - 1) if p > 0 else 0.0
-        return (increments(p) - prev) / plan.pmf_p(l).mass(p), counter.euler_steps, errors
+        return _xi(plan, l, p, increment), counter.euler_steps, errors
     first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
     num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams], counter)
-    traces = combined_rows(first.batch_sizes(0), num, den, 0, errors)[:, :, 0]
-    live = [r for r in range(len(streams)) if r not in errors]
-    if l and live:
-        sub = [streams[r].child(1) for r in live]
+    traces = combined_rows(first.batch_sizes(0), num, den, 0, errors, l)[:, :, 0]
+    if l:  # every row runs the coupled filter, and a failed row keeps its first error
+        sub = [s.child(1) for s in streams]
         num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counter)
-        both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errs)
-        errors.update((live[j], err) for j, err in errs.items())
+        errors = {**errs, **errors}
+        both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errors, l)
         a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
-        traces[live] = a * traces[live] + b * both[:, :, 0] - both[:, :, 1]
+        traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
     return traces, counter.euler_steps, errors
 
 
@@ -373,8 +370,7 @@ def _sample_indices(plan, gen, m):
     ps = np.zeros(m, dtype=np.int64)
     for l in np.unique(ls):
         sel = ls == l
-        pmf = plan.pmf_p(int(l))
-        ps[sel] = pmf.start + np.searchsorted(pmf.cum, u[sel], side="right")
+        ps[sel] = plan.pmf_p(int(l)).index(u[sel])
     return ls, ps
 
 
@@ -416,12 +412,19 @@ def _chunk_rows(l, p):
     return max(1, _MAX_GENERATORS // (p + 1))
 
 
-def _chunks(ls, ps):
-    """The draws grouped by cell (l, p) in cell order, each cell cut into
-    chunks of consecutive draw indices: a list of (l, p, indices)."""
+def _cells(ls, ps):
+    """The draws grouped by cell (l, p) in cell order: a list of (l, p,
+    indices), each cell's draw indices ascending."""
+    order = np.lexsort((ps, ls))  # stable: by l, then p, then draw index
+    cut = np.flatnonzero((np.diff(ls[order]) != 0) | (np.diff(ps[order]) != 0)) + 1
+    return [(int(ls[idx[0]]), int(ps[idx[0]]), idx) for idx in np.split(order, cut)]
+
+
+def _chunks(cells):
+    """Each cell of _cells cut into chunks of consecutive draw indices: a
+    list of (l, p, indices)."""
     chunks = []
-    for l, p in sorted(set(zip(ls.tolist(), ps.tolist()))):
-        idx = np.flatnonzero((ls == l) & (ps == p))
+    for l, p, idx in cells:
         rows = _chunk_rows(l, p)
         chunks += [(l, p, idx[i:i + rows]) for i in range(0, len(idx), rows)]
     return chunks
@@ -449,16 +452,17 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
     root = RngStream(seed)
     plan_gen = root.child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, plan_gen, m)
+    cells = _cells(ls, ps)
 
     if cost_budget is not None:
-        worst = max(_draw_cost(plan, int(l), int(p), data.n) for l, p in zip(ls, ps))
+        worst = max(_draw_cost(plan, l, p, data.n) for l, p, _ in cells)
         if worst > cost_budget:
             raise CostBudgetExceeded(
                 f"a sampled draw needs {worst} Euler steps, over the budget of {cost_budget}"
             )
 
     role = ROLE_SINGLE if plan.kind == "single" else ROLE_FILTER
-    chunks = _chunks(ls, ps)
+    chunks = _chunks(cells)
 
     def work(c):
         # the chunk's traces, costs and retries, and each failed draw's final
@@ -492,28 +496,22 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
 def randomized_table_mean(plan, table, m, seed):
     """The randomization machinery applied to a fixed table of values.
 
-    table[l, p] stands in for the combined estimate at indices (l, p); each
-    draw returns weight(l) * (table[l, p] - table[l, p-1]) / P_P(p | l), so
-    the exact expectation is the sum over l of table[l, p_max(l)]. Used to
-    check unbiasedness of the sampling/weighting alone, with no filtering
-    noise in the way. Level-only plans have no table of sample sizes.
-
+    table[l, p] stands in for the level-l increment through batch p: each
+    draw's Xi is _xi's of the table row, reduced as unbiased_estimate
+    reduces draws, so the exact expectation is the sum over l of
+    table[l, p_max(l)]. This checks the sampling, Xi and weighting alone,
+    with no filtering noise. Level-only plans have no table of sample sizes.
     Returns the sample mean and its standard error.
     """
     m = _check_draw_count(m)
     if plan.kind == "single":
         raise InvalidRate("this plan does not randomize the sample size")
     table = np.asarray(table, dtype=float)
-    root = RngStream(seed)
-    gen = root.child(0, ROLE_PLAN).gen
+    gen = RngStream(seed).child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, gen, m)
-    v = table[ls, ps]
-    prev = np.where(ps > 0, table[ls, np.maximum(ps - 1, 0)], 0.0)
-    mass_p = np.empty(len(ls))
-    for l in np.unique(ls):
-        sel = ls == l
-        mass_p[sel] = plan.pmf_p(int(l)).mass(ps[sel])
-    vals = plan.level_weight(ls) * (v - prev) / mass_p
-    mean = float(np.sum(vals)) / m
-    stderr = float(np.std(vals, ddof=1) / math.sqrt(m)) if m > 1 else math.nan
-    return mean, stderr
+    traces = np.empty((m, 1))
+    for l, p, idx in _cells(ls, ps):
+        traces[idx] = _xi(plan, l, p, lambda q: table[l, q])
+    zeros = np.zeros(m, dtype=np.int64)
+    est = _reduce_draws(plan, ls, ps, traces, zeros, zeros)
+    return est.value, est.stderr

@@ -90,14 +90,11 @@ class CostCounter:
 
     __slots__ = ("euler_steps",)
 
-    def __init__(self, euler_steps=0):
-        self.euler_steps = int(euler_steps)
+    def __init__(self):
+        self.euler_steps = 0
 
     def add(self, steps):
         self.euler_steps += int(steps)
-
-    def __repr__(self):
-        return f"CostCounter(euler_steps={self.euler_steps})"
 
 
 def _as_batch(x, dim):
@@ -209,10 +206,11 @@ def _increments(gens, level, n, d):
         yield dw
 
 
-def overflow_error(model, level, coupled=False):
-    """The NumericalOverflow of a level-l transition that left the finite range."""
-    kind = "coupled level" if coupled else "level"
-    return NumericalOverflow(f"{kind}-{level.l} transition overflowed for model {model.name!r}")
+def overflow_error(model, level, coupled=False, p=None, time_index=None):
+    """The NumericalOverflow of a level-l transition that left the finite
+    range; a filter run also names its p and the time k the states reach."""
+    kind = "coupled transition" if coupled else "transition"
+    return NumericalOverflow(f"{kind} overflowed for model {model.name!r}", level.l, p, time_index)
 
 
 def transition(model, x, level, rng, counter=None):

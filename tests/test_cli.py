@@ -3,6 +3,8 @@
 import csv
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -322,31 +324,37 @@ def test_compare_cost_ratio_drops_outside_points():
 
 
 def test_compare_cost_ratio_averages_last_rows():
-    u = [("a", 1e-5, 1e5), ("b", 1e-1, 1e1)]
+    # five baseline points: the average is over the last four, which
+    # leaves out the first point's ratio of 8
+    u = [("a", 1e-7, 1e7), ("b", 1e-1, 1e1)]
     pts = [("p%d" % k, 10.0 ** (-k), c * 10.0 ** k)
-           for k, c in zip(range(2, 5), (0.125, 0.5, 0.5))]
-    rows, avg = compare_cost_ratio(pts and u, pts, max_levels=2)
-    assert len(rows) == 2
+           for k, c in zip(range(2, 7), (0.125, 0.5, 0.5, 0.5, 0.5))]
+    rows, avg = compare_cost_ratio(u, pts)
+    assert [r[0] for r in rows] == ["p3", "p4", "p5", "p6"]
     assert avg == pytest.approx(2.0, rel=1e-12)
 
 
-def test_run_compare_writes_ratio_table(tmp_path):
-    upath = tmp_path / "u.csv"
+def _write_curves(tmp_path):
+    # a randomized and a multilevel MSE-vs-cost curve that overlap
+    upath, mpath = tmp_path / "u.csv", tmp_path / "m.csv"
     with open(upath, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["M", "groups", "mse", "cost"])
         for k in (2, 3, 4, 5):
             w.writerow([2 ** k, 10, repr(10.0 ** (-k)), repr(10.0 ** k)])
-    mpath = tmp_path / "m.csv"
     with open(mpath, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["L", "mse", "cost", "repeats"])
         w.writerow([3, repr(1e-3), repr(2e3), 5])
+    return str(upath), str(mpath)
+
+
+def test_run_compare_writes_ratio_table(tmp_path):
+    upath, mpath = _write_curves(tmp_path)
 
     out = tmp_path / "cmp"
     res = run_experiment(
-        ExperimentConfig(mode="compare", unbiased=str(upath), mlpf=str(mpath),
-                         out=str(out))
+        ExperimentConfig(mode="compare", unbiased=upath, mlpf=mpath, out=str(out))
     )
     rows = _read_rows(res["cost_ratio"])
     assert rows[-1]["L"] == "average"
@@ -354,7 +362,49 @@ def test_run_compare_writes_ratio_table(tmp_path):
     assert res["average_ratio"] == "0.5"
 
     with pytest.raises(ConfigError):
-        run_experiment(ExperimentConfig(mode="compare", unbiased=str(upath)))
+        run_experiment(ExperimentConfig(mode="compare", unbiased=upath))
+
+
+_STUB_PYPLOT = """
+def savefig(path, **kwargs):
+    open(path, "w").close()
+
+
+def __getattr__(name):
+    return lambda *args, **kwargs: None
+"""
+
+
+def test_plot_script_draws_one_figure_per_result_csv(tmp_path):
+    # matplotlib is stubbed, since it need not be installed: every pyplot
+    # call does nothing, except that savefig creates its file
+    stub = tmp_path / "stub" / "matplotlib"
+    stub.mkdir(parents=True)
+    (stub / "__init__.py").write_text("def use(*args, **kwargs):\n    pass\n")
+    (stub / "pyplot.py").write_text(_STUB_PYPLOT)
+    data = _generate(tmp_path)
+    ref = run_experiment(
+        ExperimentConfig(mode="reference", data=data, out=str(tmp_path / "ref"))
+    )["reference"]
+    upath, mpath = _write_curves(tmp_path)
+    runs = [
+        (ExperimentConfig(mode="run-unbiased", data=data, lmax=1, m=30, n0=4, seed=2,
+                          reference=ref), ["unbiased_mse_vs_cost.png"]),
+        (ExperimentConfig(mode="run-mlpf", data=data, levels=(1, 2), repeats=3, seed=4,
+                          reference=ref), ["mlpf_mse_cost.png"]),
+        (ExperimentConfig(mode="sweep-variance", data=data, levels=(1, 2), particles=20,
+                          repeats=3, seed=4), ["variance_vs_level.png"]),
+        (ExperimentConfig(mode="compare", unbiased=upath, mlpf=mpath), ["cost_ratio.png"]),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(stub.parent))
+    for i, (cfg, pngs) in enumerate(runs):
+        cfg.out = str(tmp_path / f"out{i}")
+        plot = run_experiment(cfg)["plot"]
+        assert plot == os.path.join(cfg.out, "plot_results.py")
+        done = subprocess.run([sys.executable, plot], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert sorted(f for f in os.listdir(cfg.out) if f.endswith(".png")) == pngs
 
 
 def test_unknown_mode_rejected():
@@ -496,6 +546,7 @@ def test_malformed_reference_and_curve_files_are_configuration_errors(tmp_path, 
     no_mean = _write_text(tmp_path / "ref.csv", "k,var\n1,0.1\n2,0.1\n3,0.1\n")
     short_ref = _write_text(tmp_path / "short_ref.csv", "k,mean\n1,0.1\n2\n3,0.1\n")
     no_mse = _write_text(tmp_path / "curve.csv", "L,cost\n1,10.0\n")
+    empty_mse = _write_text(tmp_path / "empty.csv", "L,mse,cost\n1,0.1,10.0\n2,,20.0\n")
     good = _write_text(tmp_path / "good.csv", "M,mse,cost\n4,0.1,10.0\n2,0.2,5.0\n")
     cases = [
         (["run-unbiased", "--data", data, "--m", "4", "--lmax", "1",
@@ -503,16 +554,17 @@ def test_malformed_reference_and_curve_files_are_configuration_errors(tmp_path, 
         (["run-mlpf", "--data", data, "--levels", "1", "--repeats", "2",
           "--reference", no_mean], no_mean, "'mean'"),
         (["run-unbiased", "--data", data, "--m", "4", "--lmax", "1",
-          "--reference", short_ref], None, "could not convert"),
+          "--reference", short_ref], short_ref + ", line 3", "could not convert"),
         (["compare", "--unbiased", good, "--mlpf", no_mse], no_mse, "'mse'"),
+        (["compare", "--unbiased", good, "--mlpf", empty_mse], empty_mse + ", line 3",
+         "could not convert"),
         (["compare", "--unbiased", no_mse, "--mlpf", good], no_mse, "'mse'"),
     ]
     for i, (argv, path, column) in enumerate(cases):
         out = tmp_path / f"out{i}"
         assert main(argv + ["--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "configuration error" in err and column in err
-        assert path is None or path in err
+        assert "configuration error" in err and column in err and path in err
         assert not out.exists()
 
 

@@ -305,7 +305,7 @@ def _fine_coarse(sizes, num, den, q):
     # (1, 2, 1, p+1) layout of a coupled run's batch values
     errors = {}
     out = combined_rows(sizes, np.reshape(num, (1, 2, 1, -1)), np.reshape(den, (1, 2, 1, -1)),
-                        q, errors)
+                        q, errors, 1)
     assert errors == {}
     return out[0, 0]
 
@@ -324,7 +324,7 @@ def test_increment_hand_values():
 def test_increment_vanishes_on_identical_clouds(ou):
     pos = np.linspace(-1, 1, 40).reshape(1, 40, 1)
     lg = ou.observation.log_g(pos[0], 0.3)[None]
-    num, den = zip(*(_batch_values([x], [lg], ou.phi, _shared_scale([lg]))
+    num, den = zip(*(_batch_values([x], [lg], ou.phi, _shared_scale([lg.max(axis=-1)]))
                      for x in (pos, pos.copy())))
     fine, coarse = _fine_coarse([40], num, den, 0)
     assert fine - coarse == 0.0

@@ -18,8 +18,9 @@ from unbiasedpf import (
     RngStream,
     transition,
 )
-from unbiasedpf.errors import DegenerateWeights, InvalidRate, InvalidSimplex
+from unbiasedpf.errors import DegenerateWeights, InvalidRate, InvalidSimplex, NumericalOverflow
 from unbiasedpf.observation import DataSet
+from unbiasedpf.sde import DiffusionModel
 from unbiasedpf.pf import (
     _batch_values,
     _log_max_error,
@@ -131,7 +132,7 @@ def _combined(sizes, num, den, q):
     # combined_rows for one time, side and row: (1, 1, 1, p+1) batch values
     errors = {}
     shape = (1, 1, 1, -1)
-    out = combined_rows(sizes, np.reshape(num, shape), np.reshape(den, shape), q, errors)
+    out = combined_rows(sizes, np.reshape(num, shape), np.reshape(den, shape), q, errors, 0)
     return float(out[0, 0, 0]), errors
 
 
@@ -141,14 +142,14 @@ def test_batch_estimate_hand_value():
     assert _combined(sizes, num, den, 1) == (pytest.approx(5.0 / 3.0, abs=1e-15), {})
     _, errors = _combined([2], [1.0], [0.0], 0)
     assert isinstance(errors[0], DegenerateWeights)
-    assert (errors[0].p, errors[0].time_index) == (0, 0)
+    assert (errors[0].level, errors[0].p, errors[0].time_index) == (0, 0, 0)
 
 
 def _one_batch(x, log_g, phi):
     # one (N, d) cloud through the engine's scale guard, batch values and
     # combination; raises the error a filter run would record
     x, lg = x[None], np.asarray(log_g, dtype=float)[None]
-    shift = _shared_scale([lg])
+    shift = _shared_scale([lg.max(axis=-1)])
     if not np.isfinite(shift).all():
         raise _log_max_error(float(shift[0]))
     num, den = _batch_values([x], [lg], phi, shift)
@@ -326,6 +327,16 @@ def test_degenerate_data_raises_with_context(ou, run, level):
     assert exc.value.level == level
     assert exc.value.p == 1
     assert exc.value.time_index == 0
+    # a noiseless state that reaches 1 at the first observation and leaves
+    # the finite range on its way to the second one, k = 1
+    boom = dataclasses.replace(ou, diffusion=DiffusionModel(
+        1, lambda x: np.where(x >= 1.0, np.inf, 1.0),
+        lambda x: np.zeros(np.shape(x)[:-1] + (1, 1)), np.zeros(1), True, "boom"))
+    with pytest.raises(NumericalOverflow) as exc:
+        run(boom, DataSet(y=[0.0, 0.0], model="OU"), BatchSchedule(8), 1, Level(level),
+            RngStream(1))
+    assert (exc.value.level, exc.value.p, exc.value.time_index) == (level, 1, 1)
+    assert str(exc.value).endswith(f"overflowed for model 'boom' (l={level}, p=1, k=1)")
 
 
 def test_resampling_not_consumed_after_last_observation(ou):
@@ -342,6 +353,6 @@ def test_resampling_not_consumed_after_last_observation(ou):
 def test_shared_scale_is_pythons_max_over_batch_maxima():
     # a NaN maximum in batch 0 makes the scale NaN (the run fails there);
     # one in a later batch is passed over, as max() over the batches does
-    nan, one = np.array([[np.nan, 0.0], [2.0, 0.0]]), np.array([[1.0, 0.0], [3.0, 0.0]])
+    nan, one = np.array([np.nan, 2.0]), np.array([1.0, 3.0])
     assert np.array_equal(_shared_scale([nan, one]), [np.nan, 3.0], equal_nan=True)
     assert np.array_equal(_shared_scale([one, nan]), [1.0, 3.0])

@@ -1,5 +1,6 @@
 """Randomization plans, single draws, and the debiased estimators."""
 
+import dataclasses
 import json
 import math
 import os
@@ -12,8 +13,11 @@ from scipy import stats
 
 from unbiasedpf import (
     BatchSchedule,
+    Level,
     Pmf,
     allocate,
+    batch_cpf_run,
+    batch_pf_run,
     cost_of_draw,
     default_base_size,
     draw_xi,
@@ -72,7 +76,7 @@ def test_pmf_from_function_matches_geometric():
     # the machine-complete table of a geometric pmf must reproduce the
     # closed-form masses (1 - r) r^k to float accuracy
     r = 2.0 ** (-0.9)
-    pmf = Pmf.from_function(lambda k: r ** k, bounded=False)
+    pmf = Pmf.from_function(lambda k: r ** k)
     ks = np.arange(10)
     assert np.allclose(pmf.mass(ks), (1 - r) * r ** ks, atol=1e-12)
     assert not pmf.bounded
@@ -101,14 +105,6 @@ def test_theory_plan_rates():
     # one shared sample-size table, held once per level
     assert len(plan.p_pmfs) == len(plan.level_pmf)
     assert all(q is pp for q in plan.p_pmfs)
-
-
-def test_theory_plan_log_weighted_levels():
-    plan = make_theory_plan(0.5, 0.5, 50, level_family="log_weighted")
-    lp = plan.level_pmf
-    assert lp.mass(1) / lp.mass(0) == pytest.approx(2.5121061286922606, abs=1e-12)
-    with pytest.raises(InvalidRate):
-        make_theory_plan(0.5, 0.5, 50, level_family="uniform")
 
 
 @pytest.mark.parametrize("beta,rho", [(0.0, 0.5), (2.5, 0.5), (1.0, 0.0), (1.0, 1.0)])
@@ -350,7 +346,7 @@ def test_permissive_mode_retries_failed_draws():
     # an unguarded log link turns negative states into NaN log-weights, so
     # most draws fail on the first try; strict mode must surface that and
     # permissive mode must absorb it through keyed retries
-    nld = make_benchmark("NLD", link="log")
+    nld = _log_link_nld()
     data = DataSet(y=[0.0], model="NLD")
     plan = make_truncated_plan(0, 2)
 
@@ -365,7 +361,7 @@ def test_permissive_mode_retries_failed_draws():
 def test_strict_failure_is_the_same_for_any_worker_count():
     # workers report their first error and the parent raises the one of the
     # lowest failing index, as a serial loop would, and reaps every worker
-    nld = make_benchmark("NLD", link="log")
+    nld = _log_link_nld()
     data = DataSet(y=[0.0], model="NLD")
     plan = make_truncated_plan(0, 2)
     errs = []
@@ -382,7 +378,7 @@ def test_strict_failure_is_the_same_for_any_worker_count():
 
 
 def test_retry_streams_are_deterministic():
-    nld = make_benchmark("NLD", link="log")
+    nld = _log_link_nld()
     data = DataSet(y=[0.0], model="NLD")
     plan = make_truncated_plan(0, 2)
     a = unbiased_estimate(plan, nld, data, 10, seed=3, mode="permissive")
@@ -449,6 +445,37 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
                  for i, l in enumerate(est.draws["l"].tolist())]
         _assert_same_draws(est, alone)
 
+        # a level-only cell (l = 2, N_0 = 1) whose rows succeed, or fail in
+        # the first filter, the coupled one or both; a row keeps its first
+        # error, which the first filter run alone raises
+        nld, one = _log_link_nld(), DataSet(y=[0.0], model="NLD")
+        single = make_single_rand_plan(2, 1)
+        streams = [RngStream(2).child(i + 1, ROLE_SINGLE) for i in range(12)]
+        traces, _, errors = randomization._run_cell(single, nld, one, 2, 2, streams, scheme)
+        outcomes = set()
+        for r, stream in enumerate(streams):
+            first = _error_of(batch_pf_run, nld, one, BatchSchedule(2), 0, Level(2),
+                              stream.child(0))
+            coupled = _error_of(batch_cpf_run, nld, one, BatchSchedule(1), 1, Level(2),
+                                stream.child(1), scheme)
+            outcomes.add((first is None, coupled is None))
+            if first is None and coupled is None:
+                trace = draw_xi(single, nld, one, 2, 2, stream, scheme).trace
+                assert r not in errors and trace.tolist() == traces[r].tolist()
+            else:
+                alone = _error_of(draw_xi, single, nld, one, 2, 2, stream, scheme)
+                assert str(errors[r]) == str(alone) == str(first or alone)
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def _error_of(fn, *args):
+    # the filter error that fn(*args) raises, or None
+    try:
+        fn(*args)
+    except (DegenerateWeights, NumericalOverflow) as err:
+        return err
+    return None
+
 
 def _assert_same_draws(est, samples, retries=0):
     assert est.draws["xi"].tolist() == [s.xi for s in samples]
@@ -459,11 +486,16 @@ def _assert_same_draws(est, samples, retries=0):
     assert est.retries == retries
 
 
-def _log_link_case(y):
+def _log_link_nld():
     # NLD observed through an unguarded log link: negative states give NaN
-    # log-weights, so draws fail in several cells
-    nld = make_benchmark("NLD", link="log")
-    return nld, DataSet(y=y, model="NLD"), make_truncated_plan(1, 2)
+    # log-weights, so draws fail
+    nld = make_benchmark("NLD")
+    return dataclasses.replace(nld, observation=dataclasses.replace(nld.observation, link="log"))
+
+
+def _log_link_case(y):
+    # the log-link NLD, with draws failing in several cells
+    return _log_link_nld(), DataSet(y=y, model="NLD"), make_truncated_plan(1, 2)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -471,7 +503,7 @@ def _log_link_case(y):
     ([1.0, 0.5], 4, "non-finite log-weights (l=1, p=0, k=0)"),
     # a NaN only in the second batch: the shared scale stays finite, and
     # the combined estimate has zero mass
-    ([0.0], 1, "combined batch estimate has zero mass (p=1, k=0)"),
+    ([0.0], 1, "combined batch estimate has zero mass (l=0, p=1, k=0)"),
 ])
 def test_strict_mode_raises_the_lowest_failing_draw_across_cells(y, seed, message):
     nld, data, plan = _log_link_case(y)
