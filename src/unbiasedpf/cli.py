@@ -747,7 +747,7 @@ def _add_common(sp):
     sp.add_argument("--model", help="OU, Langevin, GBM or NLD")
     sp.add_argument("--n", type=int, help="number of observations")
     sp.add_argument("--seed", type=int, help="base seed (default 1)")
-    sp.add_argument("--threads", type=int, help="worker processes (default 1)")
+    sp.add_argument("--threads", type=int, help="worker processes, this one included (default 1)")
     sp.add_argument("--out", help="output directory (default results)")
     sp.add_argument("--desk", action="store_true", default=None,
                     help="small-scale defaults for quick runs")

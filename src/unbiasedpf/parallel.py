@@ -6,17 +6,16 @@ Each index draws from its own keyed stream, so the results do not depend on
 the worker count or on scheduling.
 
 A draw is mostly interpreted Python, so threads would only contend for the
-interpreter lock. parallel_for instead forks its workers after `work`
-exists: each child inherits the closure, the model and the data, so nothing
-is pickled on the way in. Child c runs a fixed contiguous share of the
-indices, cut at equal cumulative cost when the caller gives each index's
-cost, and sends back, through a pipe, the pickled list of its results and
-the first error it hit. Children leave through os._exit, so they never
-flush the parent's stdio buffers or run its exit handlers.
+interpreter lock. parallel_for instead forks its extra workers after `work`
+exists, so each inherits the closure, the model and the data; the calling
+process is a worker too. Every worker claims the next index, largest cost
+first (longest-processing-time list scheduling), from one shared counter
+until none is left. Each child then sends back, through a pipe, the pickled
+{index: result} of what it ran and its lowest failing index's error, and
+leaves through os._exit, so it never flushes the parent's stdio buffers or
+runs its exit handlers.
 """
 
-import bisect
-import itertools
 import numbers
 import os
 import pickle
@@ -33,86 +32,102 @@ def check_threads(threads):
     return int(threads)
 
 
-def shares(costs, workers):
-    """Bounds of contiguous index shares, cut where the cumulative cost is
-    nearest to c/workers of the total (the lower index on a tie); empty
-    shares are dropped."""
-    cum = list(itertools.accumulate(costs, initial=0))
-    bounds = {0, len(costs)}
-    for c in range(1, workers):
-        target = cum[-1] * c / workers
-        i = bisect.bisect_left(cum, target)
-        bounds.add(i - 1 if i and target - cum[i - 1] <= cum[i] - target else i)
-    return sorted(bounds)
+def _usable_cpus():
+    """The CPUs this process may run on (its affinity mask), else os.cpu_count()."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def parallel_for(work, count, threads, costs=None):
     """Return [work(i) for i in range(count)], computed on worker processes.
 
-    min(threads, count, os.cpu_count()) workers run; with one, or where
-    os.fork does not exist, this is a plain loop. shares() cuts the workers'
-    shares at equal cumulative cost (costs[i] for index i, else 1). An error
-    is raised as the loop would raise it: the error of the lowest failing
-    index, with the same type and attributes. A worker that dies without
-    reporting raises ChildProcessError.
+    min(threads, count, _usable_cpus()) workers run, the calling process
+    among them; with one, or where os.fork does not exist, this is a plain
+    loop. Workers claim indices one at a time in order of descending
+    costs[i] (index order among equal costs, or when costs is None). An
+    error is raised as the loop would raise it: the error of the lowest
+    failing index, with the same type and attributes. A worker that dies
+    without reporting raises ChildProcessError.
     """
-    workers = min(threads, count, os.cpu_count() or 1)
+    workers = min(threads, count, _usable_cpus())
     if workers <= 1 or not hasattr(os, "fork"):
         return [work(i) for i in range(count)]
-    bounds = shares([1] * count if costs is None else costs, workers)
+    # a stable sort: index order among equal costs
+    order = sorted(range(count), key=lambda i: 0 if costs is None else costs[i], reverse=True)
+    # The counter is the one 8-byte message in a pipe (atomic, as it is under
+    # PIPE_BUF): a worker claims a position by reading it and writing it + 1.
+    counter_r, counter_w = os.pipe()
+    os.write(counter_w, bytes(8))
+
+    def claim():
+        pos = int.from_bytes(os.read(counter_r, 8), "little")
+        os.write(counter_w, (pos + 1).to_bytes(8, "little"))
+        return pos
+
     # A child inherits unflushed stdio buffers; a warning it prints would
     # flush the parent's pending text a second time.
     sys.stdout.flush()
     sys.stderr.flush()
     children = []  # (pid, read end) of every child not yet reaped
     try:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        for _ in range(workers - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(work, lo, hi, w)
+                    _child(work, order, claim, w)
             except BaseException:
                 os.close(r)
                 raise
             finally:
                 os.close(w)
             children.append((pid, open(r, "rb")))
-        results = []
+        done, failed = _run(work, order, claim)
         while children:
             pid, fh = children[0]
             payload = fh.read()
             fh.close()
-            _, status = os.waitpid(pid, 0)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
-            code = os.waitstatus_to_exitcode(status)
             if code != 0:
-                raise ChildProcessError(
-                    f"worker process {pid} ended with exit code {code} without reporting"
-                )
+                raise ChildProcessError(f"worker process {pid} ended with exit code {code}"
+                                        " without reporting")
             part, err = pickle.loads(payload)
-            if err is not None:
-                raise err
-            results.extend(part)
-        return results
+            done.update(part)
+            if err is not None and (failed is None or err[0] < failed[0]):
+                failed = err
+        if failed is not None:
+            raise failed[1]
+        return [done[i] for i in range(count)]
     finally:
         for pid, fh in children:
             fh.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        os.close(counter_r)
+        os.close(counter_w)
 
 
-def _child(work, lo, hi, w):
-    """Run work(lo..hi-1) in a forked child, report through fd `w`, and exit."""
+def _run(work, order, claim):
+    """Run work on claimed positions of `order`, skipping indices above the lowest
+    one seen to fail; return ({index: result}, (that index, its error) or None)."""
+    done, failed = {}, None
+    while (pos := claim()) < len(order):
+        i = order[pos]
+        if failed is not None and i > failed[0]:
+            continue
+        try:
+            done[i] = work(i)
+        except Exception as e:
+            failed = (i, e)
+    return done, failed
+
+
+def _child(work, order, claim, w):
+    """Run claimed indices in a forked child, report through fd `w`, and exit."""
     code = 1
     try:
-        part, err = [], None
-        try:
-            for i in range(lo, hi):
-                part.append(work(i))
-        except Exception as e:
-            err = e
-        payload = pickle.dumps((part, err), protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(_run(work, order, claim), protocol=pickle.HIGHEST_PROTOCOL)
         with open(w, "wb") as fh:
             fh.write(payload)
         code = 0

@@ -7,9 +7,11 @@ import time
 import numpy as np
 import pytest
 
-from unbiasedpf import (BatchSchedule, allocate, cost_of_draw, generate_data, make_benchmark,
-                        make_truncated_plan, mlpf_estimate, unbiased_estimate)
-from unbiasedpf.parallel import parallel_for, shares
+from unbiasedpf import (allocate, generate_data, make_benchmark, make_truncated_plan,
+                        mlpf_estimate, unbiased_estimate)
+from unbiasedpf.errors import DegenerateWeights
+from unbiasedpf.observation import DataSet
+from unbiasedpf.parallel import parallel_for
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 
@@ -17,16 +19,73 @@ pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 @pytest.fixture
 def two_cpus(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
 
 
-def test_worker_count_is_capped(two_cpus):
+@pytest.fixture
+def deadline():
+    """Fail a test whose workers wait on each other, rather than hang, when
+    the schedule it relies on breaks."""
+    def expire(signum, frame):
+        raise TimeoutError("the workers waited on each other for 30 s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(30)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, old)
+
+
+def test_worker_count_is_capped(two_cpus, deadline):
     parent = os.getpid()
-    pids = parallel_for(lambda i: os.getpid(), 7, 64)
-    # two workers, each running one contiguous share: indices 0-2 and 3-6
-    assert pids == [pids[0]] * 3 + [pids[3]] * 4
-    assert pids[0] != pids[3] and parent not in pids
+    r, w = os.pipe()
+
+    def work(i):
+        if os.getpid() == parent:
+            os.write(w, b"x")
+        else:  # a child runs an index only once the caller has run one
+            os.write(w, os.read(r, 1))
+        return i, os.getpid()
+
+    try:
+        out = parallel_for(work, 7, 64)
+    finally:
+        os.close(r)
+        os.close(w)
+    assert [i for i, _ in out] == list(range(7))
+    pids = {pid for _, pid in out}
+    assert len(pids) <= 2 and parent in pids
     assert parallel_for(lambda i: os.getpid(), 1, 64) == [parent]
     assert parallel_for(lambda i: i * i, 7, 64) == [i * i for i in range(7)]
+
+
+def test_every_index_runs_once_with_more_workers_than_cores(monkeypatch, deadline):
+    # a claim lost between workers would run an index twice, or never
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    r, w = os.pipe()
+
+    def work(i):
+        os.write(w, b"x")
+        return i
+
+    try:
+        assert parallel_for(work, 3000, 8) == list(range(3000))
+        assert len(os.read(r, 65536)) == 3000
+    finally:
+        os.close(r)
+        os.close(w)
+
+
+def test_the_worker_cap_counts_only_usable_cpus(monkeypatch):
+    # two CPUs exist but the affinity mask allows one: the plain loop runs
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert parallel_for(lambda i: os.getpid(), 4, 2) == [os.getpid()] * 4
 
 
 @pytest.mark.parametrize("failing", [(3, 7), (7,)])
@@ -42,18 +101,109 @@ def test_error_of_the_lowest_failing_index_is_raised(two_cpus, failing):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_worker_that_cannot_report_raises(two_cpus):
+def _serial(work, count):
+    """The plain loop's results, or its error."""
+    try:
+        return [work(i) for i in range(count)]
+    except Exception as err:
+        return err
+
+
+def _outcome(out):
+    if isinstance(out, Exception):
+        return type(out), str(out), (out.level, out.p, out.time_index)
+    return out
+
+
+COSTS = {
+    "reversed": list(range(8)),  # run order 7, 6, ..., 0
+    "zero": [0] * 8,  # index order
+    "huge": [1] * 6 + [10**12, 1],  # index 6 first, then index order
+}
+
+
+@pytest.mark.parametrize("failing", [(), (2, 6)], ids=["none", "2-and-6"])
+@pytest.mark.parametrize("taker", ["caller", "child"])
+@pytest.mark.parametrize("costs", list(COSTS), ids=list(COSTS))
+def test_results_and_errors_equal_the_serial_loop(two_cpus, deadline, costs, taker, failing):
+    def work(i):
+        if i in failing:
+            raise DegenerateWeights("batch filter lost all weight", level=i, p=1, time_index=i % 3)
+        return i, i * i
+
+    # `taker` runs index 2 (the lowest failing one): the other worker holds
+    # its first claim, one of the first two in run order, until then. Index
+    # 2 sits at the third place or later in every run order above.
     parent = os.getpid()
+    held_r, held_w = os.pipe()
+    gate_r, gate_w = os.pipe()
 
-    def dies(i):
-        if os.getpid() != parent and i == 6:
-            os._exit(3)
-        return i
+    def gated(i):
+        if (os.getpid() == parent) == (taker == "caller"):
+            os.write(held_w, os.read(held_r, 1))  # the other worker holds its claim
+            if i == 2:
+                os.write(gate_w, b"x")
+        else:
+            os.write(held_w, b"x")
+            os.write(gate_w, os.read(gate_r, 1))
+        return work(i)
 
-    with pytest.raises(ChildProcessError, match="exit code 3"):
-        parallel_for(dies, 8, 2)
-    with pytest.raises(ChildProcessError, match="exit code 1"):
-        parallel_for(lambda i: lambda: i, 4, 2)  # a result that cannot be pickled
+    try:
+        try:
+            out = parallel_for(gated, 8, 2, COSTS[costs])
+        except DegenerateWeights as err:
+            out = err
+    finally:
+        for fd in (held_r, held_w, gate_r, gate_w):
+            os.close(fd)
+    assert _outcome(out) == _outcome(_serial(work, 8))
+    if failing:
+        assert _outcome(out)[1] == "batch filter lost all weight (l=2, p=1, k=2)"
+
+
+def test_estimator_errors_equal_at_one_and_two_threads(two_cpus):
+    # every level and every draw fails; level 0 is MLPF's cheapest, so
+    # with two workers it runs last
+    ou = make_benchmark("OU")
+    bad = DataSet(y=[np.inf], model="OU")
+    runs = [lambda t: mlpf_estimate(ou, bad, allocate(3, "nonconstant"), seed=2, threads=t),
+            lambda t: unbiased_estimate(make_truncated_plan(3, 10), ou, bad, 40, seed=2,
+                                        threads=t)]
+    errs = []
+    for run in runs:
+        for threads in (1, 2):
+            with pytest.raises(DegenerateWeights) as info:
+                run(threads)
+            errs.append(_outcome(info.value))
+    assert errs[0] == errs[1] and errs[2] == errs[3]
+    assert errs[0][2] == (0, 0, 0)  # mlpf level 0, batch 0, the first observation
+
+
+def test_a_worker_that_cannot_report_raises(two_cpus, deadline):
+    # the caller's index waits until the child has claimed the other and
+    # exited, so the child always takes one
+    parent = os.getpid()
+    cases = [(lambda i: os._exit(3), 3),
+             (lambda i: lambda: i, 1)]  # a result that cannot be pickled
+    for child_work, code in cases:
+        r, w = os.pipe()
+        closed = []
+
+        def work(i):
+            if os.getpid() != parent:
+                return child_work(i)
+            os.close(w)
+            closed.append(w)
+            assert os.read(r, 1) == b""  # every other holder of w has exited
+            return i
+
+        try:
+            with pytest.raises(ChildProcessError, match=f"exit code {code}"):
+                parallel_for(work, 2, 2)
+        finally:
+            os.close(r)
+            if not closed:
+                os.close(w)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -74,22 +224,6 @@ def test_interrupted_parent_kills_and_reaps_its_workers(two_cpus):
     assert time.monotonic() - start < 10
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-
-
-def test_shares_cut_at_equal_cumulative_cost():
-    assert shares([1] * 7, 2) == [0, 3, 7]
-    assert shares([1] * 10, 3) == [0, 3, 7, 10]
-    assert shares([1, 1, 1, 1, 10], 2) == [0, 4, 5]
-    assert shares([100, 1, 1], 2) == [0, 1, 3]  # nearest, not first past half
-    assert shares([5, 5], 3) == [0, 1, 2]  # empty shares are dropped
-    assert shares([0, 0], 2) == [0, 2]
-    # the 2-way split of a 6-level MLPF: 135168 n Euler steps at most,
-    # against 147456 n for equal counts
-    alloc = allocate(6, "nonconstant")
-    costs = [cost_of_draw(l, 0, 1, BatchSchedule(int(m))) for l, m in enumerate(alloc.sizes)]
-    bounds = shares(costs, 2)
-    assert bounds == [0, 4, 7]
-    assert max(sum(costs[a:b]) for a, b in zip(bounds, bounds[1:])) == 135168
 
 
 def test_cost_balanced_runs_equal_serial_runs(two_cpus):
