@@ -133,12 +133,13 @@ def wasserstein_resample(gen, pos_fine, w_fine, pos_coarse, w_coarse, size):
 
 
 def cpf_step(model, level, gens, scheme, xf, xc, log_w_fine, log_w_coarse,
-             counter=None):
+             counter=None, log_max=(None, None)):
     """One coupled filter step of (R, N, d) stacks, row r drawing from gens[r]:
     coupled resampling by the (R, N) log-weights, whose normalized_weights
-    are not validated again, then coupled propagation."""
-    wf = normalized_weights(log_w_fine)
-    wc = normalized_weights(log_w_coarse)
+    are not validated again, then coupled propagation. log_max holds the
+    fine and coarse rows' finite log-weight maxima, for normalized_weights."""
+    wf = normalized_weights(log_w_fine, log_max[0])
+    wc = normalized_weights(log_w_coarse, log_max[1])
     n = xf.shape[1]
     if scheme == "maximal":
         idx_f, idx_c, _, _ = _maximal_indices(gens, wf, wc, n)
@@ -156,8 +157,8 @@ def cpf_rows(bm, data, schedule, p, level, streams, scheme, counter=None):
     return run_batches(
         bm, data, schedule, p, level, streams,
         lambda gens, x: coupled_transition(model, x, x, level, gens, counter),
-        lambda gens, xf, xc, lw_f, lw_c: cpf_step(
-            model, level, gens, scheme, xf, xc, lw_f, lw_c, counter),
+        lambda gens, xf, xc, lw_f, lw_c, m_f, m_c: cpf_step(
+            model, level, gens, scheme, xf, xc, lw_f, lw_c, counter, (m_f, m_c)),
     )
 
 

@@ -24,7 +24,7 @@ multinomial_indices with one generator is the checked one-row call.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import compress, repeat
 
 import numpy as np
 
@@ -41,12 +41,17 @@ def _log_max_error(m, level=None, p=None, time_index=None):
     return DegenerateWeights(what, level=level, p=p, time_index=time_index)
 
 
-def normalized_weights(log_w):
+def normalized_weights(log_w, log_max=None):
     """Normalize log-weights (an (R, N) array row by row) via max-subtraction.
 
     Raises DegenerateWeights when all weights of a row underflow or any
-    log-weight is NaN/+inf.
+    log-weight is NaN/+inf. log_max, the (R,) row maxima when the caller
+    has already found them finite, skips finding and checking them again:
+    a finite maximum leaves every row a sum between 1 and N.
     """
+    if log_max is not None:
+        w = np.exp(log_w - log_max[:, None])
+        return w / w.sum(axis=-1, keepdims=True)
     lw = np.asarray(log_w, dtype=float)
     if lw.size == 0:
         raise ValueError("empty weight vector")
@@ -111,7 +116,7 @@ def multinomial_indices(gen, weights, size):
     it, unchecked; or from one weight vector, checked (InvalidSimplex), with
     one Generator or RngStream."""
     if isinstance(gen, (list, tuple)):
-        return inverse_cdf(weights, draw(gen, "random", (size,)))
+        return _search_sorted(weights, *_sorted_rows(draw(gen, "random", (size,))))
     w = _check_simplex(weights, "weights")
     return inverse_cdf(w, draw([getattr(gen, "gen", gen)], "random", (size,))[0])
 
@@ -143,10 +148,11 @@ class BatchSchedule:
         return [self.n0] + [self.n0 * (1 << (q - 1)) for q in range(1, p + 1)]
 
 
-def pf_step(model, level, gens, x, log_w, counter=None):
+def pf_step(model, level, gens, x, log_w, counter=None, log_max=None):
     """One filter step of an (R, N, d) stack: multinomial resampling by the
-    (R, N) log-weights, then propagation, row r drawing from gens[r]."""
-    idx = multinomial_indices(gens, normalized_weights(log_w), x.shape[1])
+    (R, N) log-weights, then propagation, row r drawing from gens[r].
+    log_max, the rows' finite log-weight maxima, is passed to normalized_weights."""
+    idx = multinomial_indices(gens, normalized_weights(log_w, log_max), x.shape[1])
     return transition(model, gather(x, idx), level, gens, counter)
 
 
@@ -205,24 +211,29 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
     x into the batch's tuple of (R, N_q, d) clouds, one or (fine, coarse).
     At each time every cloud is weighted by log_g, each side gets its batch
     values of bm.phi and, but after the last time, step(gens, *clouds,
-    *log_weights) resamples and propagates each batch. A failing row leaves
-    the stack; errors[row] is the error its run alone raises there, with l,
-    p and the time k of the failed weights or overflowed states. Returns
-    (num, den, errors), num and den (n, sides, R, p+1); a failed row's
-    entries are meaningless.
+    *log_weights, *maxima) resamples and propagates each batch, maxima
+    being each side's (R,) log-weight maxima, all finite. A failing row
+    leaves the stack; errors[row] is the error its run alone raises there,
+    with l, p and the time k of the failed weights or overflowed states.
+    Returns (num, den, errors), num and den (n, sides, R, p+1); a failed
+    row's entries are meaningless.
     """
     obs, model = bm.observation, bm.diffusion
     x0 = np.asarray(model.initial_state, dtype=float)
     n, count, d = data.n, len(streams), model.dim
-    gens = np.array([[s.child(q).gen for s in streams] for q in range(p + 1)], dtype=object)
-    live, errors = np.arange(count), {}
+    gens = [[s.child(q).gen for s in streams] for q in range(p + 1)]  # of the live rows
+    live, at, errors = np.arange(count), slice(None), {}
     batches = [[] for _ in range(p + 1)]  # batch q's row-stacked arrays
+    peaks = np.empty((0, 0, count))  # per-row log-weight maxima, (p+1, sides, R)
 
     def drop(bad, errs):
-        nonlocal live, batches
+        nonlocal live, at, gens, batches, peaks
         errors.update(zip(live[bad].tolist(), errs if isinstance(errs, list) else repeat(errs)))
-        live = live[~bad]
-        batches = [[a[~bad] for a in arrays] for arrays in batches]
+        keep = ~bad
+        live = at = live[keep]
+        gens = [list(compress(g, keep)) for g in gens]
+        batches = [[a[keep] for a in arrays] for arrays in batches]
+        peaks = peaks[..., keep]
 
     def advance(q, advanced, k):
         batches[q] = list(advanced)
@@ -232,7 +243,7 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
 
     for q, size in enumerate(schedule.batch_sizes(p)):
         if len(live):
-            advance(q, start(gens[q][live].tolist(), np.tile(x0, (len(live), size, 1))), 0)
+            advance(q, start(gens[q], np.tile(x0, (len(live), size, 1))), 0)
     sides = len(batches[0])
     num, den = np.zeros((2, n, sides, count, p + 1))
     for k in range(n):
@@ -241,16 +252,16 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
         for arrays in batches:  # log_g of each (R*N, d) view
             arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
                               for x in arrays[:sides]]
-        # each batch's per-row log-weight maxima, (p+1, sides, R), found once
+        # each batch's per-row log-weight maxima, found once
         peaks = np.array([[lw.max(axis=-1) for lw in arrays[sides:]] for arrays in batches])
         for side in range(sides):
             shift = _shared_scale(peaks[:, side])
             bad = ~np.isfinite(shift)
             if bad.any():
                 drop(bad, [_log_max_error(m, level.l, p, k) for m in shift[bad].tolist()])
-                shift, peaks = shift[~bad], peaks[..., ~bad]
+                shift = shift[~bad]
             clouds, logs = zip(*[arrays[side::sides] for arrays in batches])
-            num[k, side, live], den[k, side, live] = _batch_values(clouds, logs, bm.phi, shift)
+            num[k, side, at], den[k, side, at] = _batch_values(clouds, logs, bm.phi, shift)
         if k == n - 1:
             break
         bad = ~np.isfinite(peaks).all(axis=(0, 1))  # a batch that cannot be resampled
@@ -259,7 +270,7 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
             drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
         for q in range(p + 1):
             if len(live):
-                advance(q, step(gens[q][live].tolist(), *batches[q]), k + 1)
+                advance(q, step(gens[q], *batches[q], *peaks[q]), k + 1)
     return num, den, errors
 
 
@@ -287,7 +298,7 @@ def pf_rows(bm, data, schedule, p, level, streams, counter=None):
     return run_batches(
         bm, data, schedule, p, level, streams,
         lambda gens, x: (transition(model, x, level, gens, counter),),
-        lambda gens, x, log_w: (pf_step(model, level, gens, x, log_w, counter),),
+        lambda gens, x, log_w, log_max: (pf_step(model, level, gens, x, log_w, counter, log_max),),
     )
 
 

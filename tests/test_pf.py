@@ -20,6 +20,7 @@ from unbiasedpf import (
 )
 from unbiasedpf.errors import DegenerateWeights, InvalidRate, InvalidSimplex, NumericalOverflow
 from unbiasedpf.observation import DataSet
+from unbiasedpf.cpf import SCHEMES, cpf_rows
 from unbiasedpf.sde import DiffusionModel
 from unbiasedpf.pf import (
     _batch_values,
@@ -27,6 +28,7 @@ from unbiasedpf.pf import (
     _shared_scale,
     combined_rows,
     inverse_cdf,
+    pf_rows,
 )
 
 from _oracles import (
@@ -356,3 +358,57 @@ def test_shared_scale_is_pythons_max_over_batch_maxima():
     nan, one = np.array([np.nan, 2.0]), np.array([1.0, 3.0])
     assert np.array_equal(_shared_scale([nan, one]), [np.nan, 3.0], equal_nan=True)
     assert np.array_equal(_shared_scale([one, nan]), [1.0, 3.0])
+
+
+class _LosesRowOne:
+    # OU with row 1 of a 3-row stack failing after the weighting at k = 1:
+    # "weights" sets its batch-2 log-weights to -inf there (batch 2 has 8
+    # particles, so the stack's has 24 and row 1's are 8:16); "overflow"
+    # makes its batch-0 states NaN in the next drift call on batch 0's
+    # (3, 4, 1) stack. Runs of one row never fail.
+    def __init__(self, ou, y, how):
+        self.ou, self.y, self.how, self.armed = ou, y, how, False
+
+    def log_g(self, x, y):
+        lg = self.ou.observation.log_g(x, y)
+        if np.array_equal(y, self.y) and len(x) == 3 * 8 and self.how == "weights":
+            lg = lg.copy()
+            lg[8:16] = -np.inf
+        self.armed |= np.array_equal(y, self.y) and len(x) == 3 * 4 and self.how == "overflow"
+        return lg
+
+    def drift(self, x):
+        a = self.ou.diffusion.drift(x)
+        if self.armed and x.shape == (3, 4, 1):
+            self.armed = False
+            a = a.copy()
+            a[1] = np.nan
+        return a
+
+
+@pytest.mark.parametrize("how", ["weights", "overflow"])
+@pytest.mark.parametrize("scheme", (None,) + SCHEMES)
+def test_a_row_that_fails_mid_run_leaves_the_other_rows_running(ou, ou_data_n3, scheme, how):
+    # the rows left after a drop go on to the last time as they run alone
+    level, sched = Level(0 if scheme is None else 1), BatchSchedule(4)
+
+    def rows(bm, streams):
+        if scheme is None:
+            return pf_rows(bm, ou_data_n3, sched, 2, level, streams)
+        return cpf_rows(bm, ou_data_n3, sched, 2, level, streams, scheme)
+
+    fail = _LosesRowOne(ou, ou_data_n3.y[1], how)
+    bm = dataclasses.replace(ou, observation=fail,
+                             diffusion=dataclasses.replace(ou.diffusion, drift=fail.drift))
+    streams = [RngStream(4).child(r) for r in range(3)]
+    num, den, errors = rows(bm, streams)
+    assert list(errors) == [1]
+    kind = "transition" if scheme is None else "coupled transition"
+    assert str(errors[1]) == {
+        "weights": f"batch filter lost all weight (l={level.l}, p=2, k=1)",
+        "overflow": f"{kind} overflowed for model 'OU' (l={level.l}, p=2, k=2)"}[how]
+    for r in (0, 2):
+        one_num, one_den, one_errors = rows(ou, [streams[r]])
+        assert not one_errors
+        assert np.array_equal(num[:, :, r], one_num[:, :, 0])
+        assert np.array_equal(den[:, :, r], one_den[:, :, 0])

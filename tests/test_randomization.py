@@ -39,6 +39,7 @@ from unbiasedpf.errors import (CostBudgetExceeded, DegenerateWeights, InvalidRat
 from unbiasedpf.observation import DataSet
 from unbiasedpf.randomization import _MAX_RETRIES, _sample_indices
 from unbiasedpf.rng import ROLE_FILTER, ROLE_PLAN, ROLE_RETRY, ROLE_SINGLE
+from unbiasedpf.sde import _MAX_BLOCK, _step_groups
 
 
 def test_pmf_normalization_and_mass():
@@ -419,10 +420,11 @@ def test_draws_equal_recorded_values(ou, ou_data, nld, nld_data):
                 assert [v.hex() for v in est.draws["xi"].tolist()] == want["xi"]
 
 
-@pytest.mark.parametrize("rows", [None, 1, 3])
+@pytest.mark.parametrize("rows", [None, 1, 3, 80])
 @pytest.mark.parametrize("model", ["OU", "NLD"])
 def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, model):
-    # each stacked row must be its draw run alone, for any chunk size
+    # each stacked row must be its draw run alone, for any chunk size;
+    # 80 rows stack every draw of a cell at once
     if rows is not None:
         monkeypatch.setattr(randomization, "_chunk_rows", lambda *args: rows)
     bm = make_benchmark(model)
@@ -466,6 +468,39 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
                 alone = _error_of(draw_xi, single, nld, one, 2, 2, stream, scheme)
                 assert str(errors[r]) == str(alone) == str(first or alone)
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_chunks_bound_their_generators_and_increment_blocks():
+    # the chunk sizes of OU (n0 = 10) and NLD (n0 = 50) plans: at most 64
+    # live batch generators, and at most 24 * _MAX_BLOCK doubles in the
+    # rows' largest generator calls, unless one row alone is over a bound;
+    # and no more rows could be added without going over one
+    for n0 in (10, 50):
+        sched = BatchSchedule(n0)
+        for d in (1, 3):
+            for l in range(11):
+                for p in range(11 - l):
+                    block = max(max(_step_groups(2 ** l, n, d)) * n * d
+                                for n in sched.batch_sizes(p))
+                    rows = randomization._chunk_rows(l, p, sched, d)
+
+                    def fits(r):
+                        return r * (p + 1) <= 64 and r * block <= 24 * _MAX_BLOCK
+
+                    assert fits(rows) or rows == 1
+                    assert not fits(rows + 1)
+    # ou-rand's cells (make_truncated_plan(6, 10), OU): the generator
+    # bound holds at every level
+    for l in range(7):
+        got = [randomization._chunk_rows(l, p, BatchSchedule(10), 1) for p in range(7 - l)]
+        assert got == [64, 32, 21, 16, 12, 10, 9][:7 - l]
+    # NLD (n0 = 50): a level-10 row of 50 particles draws 654 steps per
+    # call, 32700 doubles, so 24 rows fill the block bound, also at p = 1
+    # and for 3-d states (218 steps of 150 doubles); at level 8 a row
+    # draws 256 steps, 12800 doubles, and 61 rows fit; at level 7, 64
+    assert [randomization._chunk_rows(l, p, BatchSchedule(50), d)
+            for l, p, d in ((10, 0, 1), (10, 1, 1), (10, 0, 3), (8, 0, 1), (7, 0, 1))] == [
+        24, 24, 24, 61, 64]
 
 
 def _error_of(fn, *args):

@@ -1,16 +1,29 @@
 """Paired benchmark runs of two source trees, written as a BENCH_<tag>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload W \
-        --seeds 11-18 [--seconds 20] [--trace-seed S] --out BENCH_tag.json
+        --seeds 11-18 [--seconds 20] [--trace-seed S] [--rss-rounds K] \
+        --out BENCH_tag.json
 
 DIR is a checkout (for instance a `git archive` of a commit) with its own
-perfbench/ and src/. Pair i runs `perfbench/run.py --trace 0` in both trees
-on seed S0 + i, the parent first in even pairs. The medians, quartiles and
-wins of every end-to-end metric go under "workloads" -> W in --out, which
-is updated in place, so workloads can be added one call at a time. With
---trace-seed, one `--trace 1` run per side on that seed is stored under
-"per_layer" -> W as well. Runs are sequential: the two sides never share
-the machine with each other.
+BENCHMARK.json, perfbench/ and src/. Pair i runs `perfbench/run.py
+--trace 0` in both trees on seed S0 + i, the parent first in even pairs.
+The medians, quartiles, wins and verdicts of every end-to-end metric that
+the change's BENCHMARK.json declares go under "workloads" -> W in --out,
+which is updated in place, so workloads can be added one call at a time.
+With --trace-seed, one `--trace 1` run per side on that seed is stored
+under "per_layer" -> W as well. With --rss-rounds, each side also runs K
+rounds in one fresh process and reports how much its peak RSS grew over
+them, under "rss_growth" -> W: the program's own memory, without the
+per-round records that run.py keeps. Runs are sequential: the two sides
+never share the machine with each other.
+
+A metric's verdict, from the benchmark's direction and bound:
+  "gain"          the change reads better in at least 9 of 10 pairs and its
+                  median is better by more than the parent's quartile range;
+  "regression"    its median is worse than the parent's by more than the bound;
+  "unresolved"    otherwise, when the parent's quartile range is wider than
+                  the bound, so a move of the bound cannot be told apart;
+  "within bound"  otherwise.
 """
 
 import argparse
@@ -22,9 +35,25 @@ import sys
 
 import numpy as np
 
-END_TO_END = ("setup_s", "wall_s", "euler_steps_per_s", "peak_rss_mb")
-HIGHER_IS_BETTER = {"euler_steps_per_s"}
 SIDES = ("parent", "change")
+GAIN_SHARE = 0.9
+RSS_PROBE = """
+import os, resource, shutil, sys
+sys.path.insert(0, "perfbench")
+import oracles, run, workloads
+upf = run.load_program()
+wl = workloads.WORKLOADS[{workload!r}]()
+workdir = os.path.join(run.OUT, "rss-probe-%d" % os.getpid())
+try:
+    wl.setup(upf, workdir, oracles.load_cache())
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    for r in range({rounds}):
+        wl.run_round(run.round_seed({seed}, r))
+    after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+finally:
+    shutil.rmtree(workdir, ignore_errors=True)
+print(before / 1024.0, after / 1024.0)
+"""
 
 
 def run(tree, workload, seed, seconds, trace):
@@ -32,6 +61,27 @@ def run(tree, workload, seed, seconds, trace):
            "--seconds", str(seconds), "--trace", str(trace)]
     res = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(res.stdout.strip().splitlines()[-1])
+
+
+def end_to_end_metrics(tree):
+    """{name: (better, bound)} of the end-to-end metrics in tree/BENCHMARK.json."""
+    with open(os.path.join(tree, "BENCHMARK.json")) as fh:
+        return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
+
+
+def verdict(parent, change, wins, pairs, sign, bound):
+    """The verdict of one metric (see the module docstring) from each
+    side's quartiles and the change's wins in `pairs` pairs; sign is +1
+    where higher is better and -1 where lower is."""
+    gap = (change["median"] - parent["median"]) * sign
+    spread = parent["q3"] - parent["q1"]
+    if wins >= GAIN_SHARE * pairs and gap > spread:
+        return "gain"
+    if -gap > bound * abs(parent["median"]):
+        return "regression"
+    if spread > bound * abs(parent["median"]):
+        return "unresolved"
+    return "within bound"
 
 
 def seeds_of(text):
@@ -65,6 +115,7 @@ def ops_per_round(tree, workload):
 
 
 def paired(args):
+    metrics = end_to_end_metrics(args.change)
     runs = {side: [] for side in SIDES}
     for i, seed in enumerate(seeds_of(args.seeds)):
         for side in (SIDES if i % 2 == 0 else SIDES[::-1]):
@@ -77,18 +128,34 @@ def paired(args):
            "all_correct": all(r["correct"] for side in SIDES for r in runs[side]),
            "failed_ops": {side: sum(r["failed"] for r in runs[side]) for side in SIDES},
            "attempted_ops": {side: sum(r["attempted"] for r in runs[side]) for side in SIDES},
-           "wins": {}}
+           "wins": {}, "verdicts": {}}
     for side in SIDES:
         rec[side] = {m: quartiles([r["metrics"][m]["value"] for r in runs[side]])
-                     for m in END_TO_END}
+                     for m in metrics}
         rec[side]["rounds_per_run"] = [r["attempted"] // per_round for r in runs[side]]
-    for m in END_TO_END:
+    for m, (better, bound) in metrics.items():
         pairs = [(p["metrics"][m]["value"], c["metrics"][m]["value"])
                  for p, c in zip(runs["parent"], runs["change"])]
-        better = (lambda p, c: c > p) if m in HIGHER_IS_BETTER else (lambda p, c: c < p)
-        rec["wins"][m] = sum(better(p, c) for p, c in pairs)
+        sign = 1.0 if better == "higher" else -1.0
+        rec["wins"][m] = sum(sign * (c - p) > 0 for p, c in pairs)
+        rec["verdicts"][m] = verdict(rec["parent"][m], rec["change"][m], rec["wins"][m],
+                                     len(pairs), sign, bound)
     rec["change_over_parent_median"] = {
-        m: round(rec["change"][m]["median"] / rec["parent"][m]["median"], 4) for m in END_TO_END}
+        m: round(rec["change"][m]["median"] / rec["parent"][m]["median"], 4) for m in metrics}
+    return rec
+
+
+def rss_growth(args):
+    """Each side's peak RSS in MB after set-up and after --rss-rounds rounds
+    of seed --seeds' first seed, in one fresh process per side."""
+    rec = {"rounds": args.rss_rounds, "seed": seeds_of(args.seeds)[0]}
+    for side in SIDES:
+        code = RSS_PROBE.format(workload=args.workload, rounds=args.rss_rounds, seed=rec["seed"])
+        res = subprocess.run([sys.executable, "-c", code], cwd=getattr(args, side),
+                             capture_output=True, text=True, check=True)
+        before, after = map(float, res.stdout.split())
+        rec[side] = {"after_setup_mb": round(before, 3), "after_rounds_mb": round(after, 3),
+                     "growth_mb": round(after - before, 3)}
     return rec
 
 
@@ -109,6 +176,7 @@ def main():
     ap.add_argument("--seeds", required=True, help="S0-S1, inclusive")
     ap.add_argument("--seconds", type=float, default=20)
     ap.add_argument("--trace-seed", type=int)
+    ap.add_argument("--rss-rounds", type=int)
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     doc = {}
@@ -121,12 +189,18 @@ def main():
                    "--trace 0",
         "pairs": "pair i runs both sides on seed S0 + i; even pairs run the parent first",
         "wins": "pairs where the change reads better; ties count for neither side",
+        "verdicts": "gain: >= 9 of 10 pairs better and a median gap over the parent's "
+                    "quartile range; regression: median worse by more than the bound in "
+                    "BENCHMARK.json; unresolved: the parent's quartile range is wider than "
+                    "that bound; otherwise within bound",
         "quartiles": "numpy percentile 25/50/75 over the runs of one side",
         "rounds_per_run": "attempted operations / operations per round, one entry per run "
                           "in seed order"}
     doc.setdefault("workloads", {})[args.workload] = paired(args)
     if args.trace_seed is not None:
         doc.setdefault("per_layer", {})[args.workload] = traced(args)
+    if args.rss_rounds is not None:
+        doc.setdefault("rss_growth", {})[args.workload] = rss_growth(args)
     with open(args.out, "w") as fh:
         json.dump(doc, fh, indent=1)
         fh.write("\n")
