@@ -5,10 +5,15 @@ records, `reference` computes exact (Kalman) or high-resolution filter
 references, `run-unbiased` / `run-single-rand` run the randomized
 estimators, `run-mlpf` runs the multilevel baseline, `sweep-variance`
 measures how coupled increments decay with the level, and `compare` turns
-matched-MSE cost curves into cost ratios. Every run is reproducible from
-its config: flags can be loaded from a flat key = value file (--config),
-with explicit flags taking precedence, and each artifact directory gets the
-resolved configuration echoed into its metadata.
+matched-MSE cost curves into cost ratios.
+
+Each option is declared once, as an ExperimentConfig field that names its
+help text and the subcommands whose runners read it; a subcommand takes
+those flags plus --config, --out and --threads, and refuses any other.
+Every run is reproducible from its config: a flat key = value file
+(--config) may set any field, explicit flags take precedence, and each
+artifact directory gets the resolved configuration echoed into its
+metadata.
 
 Exit codes: 1 for configuration problems, 2 for numerical failures, 3 for
 I/O failures.
@@ -21,7 +26,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -81,41 +86,80 @@ _NUMERICAL_ERRORS = (
 )
 
 
+_SUBCOMMANDS = {
+    "generate": "simulate an observation record",
+    "run-unbiased": "run unbiased estimator",
+    "run-single-rand": "run single rand estimator",
+    "run-mlpf": "multilevel particle filter baseline",
+    "sweep-variance": "coupled increment variance by level",
+    "reference": "exact or high-resolution reference filter",
+    "compare": "cost ratio at matched MSE",
+}
+_RANDOMIZED = ("run-unbiased", "run-single-rand")
+_ON_DATA = ("reference", *_RANDOMIZED, "run-mlpf", "sweep-variance")
+
+
+def _option(help, *modes, default=None, choices=None):
+    """A config field that is also a flag of the subcommands in `modes`, the
+    ones whose runners read it; `default` is what ExperimentConfig.get
+    returns while the field is unset."""
+    meta = {"help": help, "modes": modes, "default": default, "choices": choices}
+    return field(default=None, metadata=meta)
+
+
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs, with None meaning "use the mode's default"."""
+    """Everything a run needs, with None meaning "use the mode's default".
+    Every field but `mode` is also the flag of the subcommands whose runners
+    read it; a config file may set any field for any subcommand."""
 
     mode: str = None
-    model: str = None
-    n: int = None
-    seed: int = None
-    threads: int = None
-    out: str = None
-    desk: bool = None
-    strict: bool = None
-    scheme: str = None
-    gen_level: str = None
-    data: str = None
-    lmax: int = None
-    m: int = None
-    n0: int = None
-    beta: float = None
-    rho: float = None
-    unbounded: bool = None
-    cost_budget: int = None
-    reference: str = None
-    mse_points: int = None
-    levels: tuple = None
-    repeats: int = None
-    c1: float = None
-    particles: int = None
-    level: int = None
-    refresh: bool = None
-    unbiased: str = None
-    mlpf: str = None
+    model: str = _option("OU, Langevin, GBM or NLD", "generate", *_ON_DATA)
+    n: int = _option("number of observations", "generate")
+    seed: int = _option("base seed (default 1)", "generate", *_ON_DATA, default=1)
+    threads: int = _option("worker processes, this one included (default 1)",
+                           *_SUBCOMMANDS, default=1)
+    out: str = _option("output directory (default results)", *_SUBCOMMANDS, default="results")
+    desk: bool = _option("small-scale defaults for quick runs", *_ON_DATA, default=False)
+    strict: bool = _option("abort on the first failed draw (default)", *_RANDOMIZED,
+                           default=True)
+    scheme: str = _option("coupled resampling scheme (default wasserstein)", *_RANDOMIZED,
+                          "run-mlpf", "sweep-variance", default="wasserstein", choices=SCHEMES)
+    gen_level: str = _option('generation level, an integer or "exact"', "generate")
+    data: str = _option("dataset CSV from `generate`", *_ON_DATA)
+    lmax: int = _option("truncation level (default 4)", *_RANDOMIZED)
+    m: int = _option("number of randomized draws", *_RANDOMIZED)
+    n0: int = _option("base sample size N_0", *_RANDOMIZED)
+    beta: float = _option("variance decay rate override", "run-unbiased")
+    rho: float = _option("geometric level pmf exponent factor", "run-unbiased")
+    unbounded: bool = _option("use the unbounded (truly unbiased) plan", *_RANDOMIZED)
+    cost_budget: int = _option("abort if any draw would exceed this Euler-step cost",
+                               *_RANDOMIZED)
+    reference: str = _option("reference CSV for the MSE outputs",
+                             *_RANDOMIZED, "run-mlpf")
+    mse_points: int = _option("points on the MSE-vs-cost curve (default 8)", *_RANDOMIZED)
+    levels: tuple = _option("run-mlpf: maximum levels L, e.g. 1,2,3,4; "
+                            "sweep-variance: coupled levels, e.g. 2,3,4,5",
+                            "run-mlpf", "sweep-variance")
+    repeats: int = _option("reference: PF reference repeats; run-mlpf: independent runs "
+                           "per L; sweep-variance: runs per level (default 100)",
+                           "reference", "run-mlpf", "sweep-variance")
+    c1: float = _option("allocation constant (default 1.0)", "run-mlpf")
+    particles: int = _option("reference: PF reference particle count; "
+                             "sweep-variance: pairs per run (default 1000)",
+                             "reference", "sweep-variance")
+    level: int = _option("PF reference level (non-OU models)", "reference")
+    refresh: bool = _option("recompute even if a matching cached reference exists",
+                            "reference")
+    unbiased: str = _option("randomized MSE-vs-cost CSV", "compare")
+    mlpf: str = _option("multilevel MSE-vs-cost CSV", "compare")
 
     def get(self, name, default=None):
+        """The field's value; while it is unset, its global default if it
+        has one (seed, threads, out, desk, strict, scheme), else `default`."""
         v = getattr(self, name)
+        if v is None:
+            v = self.__dataclass_fields__[name].metadata.get("default")
         return default if v is None else v
 
 
@@ -195,7 +239,7 @@ def _merged(file_cfg, cli_cfg):
 
 
 def _ensure_out(cfg):
-    out = cfg.get("out", "results")
+    out = cfg.get("out")
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -282,7 +326,7 @@ def run_generate(cfg):
     if gl is None:
         gl = "exact" if bm.name in ("OU", "GBM") else "9"
     level = "exact" if str(gl) == "exact" else int(gl)
-    data = generate_data(bm, cfg.n, level, cfg.get("seed", 1))
+    data = generate_data(bm, cfg.n, level, cfg.get("seed"))
     out = _ensure_out(cfg)
     path = os.path.join(out, "data.csv")
     write_dataset(data, path)
@@ -295,7 +339,7 @@ def run_reference(cfg):
     out = _ensure_out(cfg)
     csv_path = os.path.join(out, "reference.csv")
     meta_path = os.path.join(out, "reference.meta.json")
-    desk = bool(cfg.get("desk", False))
+    desk = cfg.get("desk")
     exact = (
         bm.name == "OU"
         and bm.observation.family == "gaussian"
@@ -305,7 +349,7 @@ def run_reference(cfg):
         "model": bm.name,
         "n": data.n,
         "kind": "kalman" if exact else "pf",
-        "seed": cfg.get("seed", 1),
+        "seed": cfg.get("seed"),
         "data_sha256": hashlib.sha256(data.y.tobytes()).hexdigest(),
     }
     if not exact:
@@ -335,7 +379,7 @@ def run_reference(cfg):
             stream = RngStream(params["seed"], (r, ROLE_REFERENCE))
             return batch_pf_run(bm, data, sched, 0, level, stream)[:, 0]
 
-        vals = np.array(parallel_for(work, repeats, cfg.get("threads", 1)), dtype=float)
+        vals = np.array(parallel_for(work, repeats, cfg.get("threads")), dtype=float)
         means = vals.mean(axis=0)
         # one repeat has no sample variance: nan, not a claim of exactness
         var = vals.var(axis=0, ddof=1) if repeats > 1 else np.full(data.n, math.nan)
@@ -388,16 +432,16 @@ def run_randomized(cfg):
     bm = _benchmark_for(cfg, data)
     plan = _build_plan(cfg, bm, single)
     ref = _read_reference_means(cfg.reference, data.n) if cfg.reference else None
-    m = cfg.get("m", 500 if cfg.get("desk", False) else 2000)
-    mode = "strict" if cfg.get("strict", True) else "permissive"
+    m = cfg.get("m", 500 if cfg.get("desk") else 2000)
+    mode = "strict" if cfg.get("strict") else "permissive"
     est = unbiased_estimate(
         plan,
         bm,
         data,
         m,
-        cfg.get("seed", 1),
-        threads=cfg.get("threads", 1),
-        scheme=cfg.get("scheme", "wasserstein"),
+        cfg.get("seed"),
+        threads=cfg.get("threads"),
+        scheme=cfg.get("scheme"),
         mode=mode,
         cost_budget=cfg.cost_budget,
     )
@@ -458,11 +502,11 @@ def run_mlpf(cfg):
     bm = _benchmark_for(cfg, data)
     regime = "constant" if bm.diffusion.constant_diffusion else "nonconstant"
     levels = cfg.get("levels", (1, 2, 3, 4))
-    repeats = cfg.get("repeats", 50 if cfg.get("desk", False) else 100)
+    repeats = cfg.get("repeats", 50 if cfg.get("desk") else 100)
     c1 = cfg.get("c1", 1.0)
-    seed = cfg.get("seed", 1)
-    threads = cfg.get("threads", 1)
-    scheme = cfg.get("scheme", "wasserstein")
+    seed = cfg.get("seed")
+    threads = cfg.get("threads")
+    scheme = cfg.get("scheme")
     allocs = [allocate(int(big_l), regime, c1) for big_l in levels]
     ref = _read_reference_means(cfg.reference, data.n) if cfg.reference else None
     out = _ensure_out(cfg)
@@ -516,10 +560,10 @@ def run_sweep(cfg):
     levels = cfg.get("levels", (2, 3, 4, 5, 6))
     if any(l < 1 for l in levels):
         raise InvalidLevel("variance sweeps need coupled levels l >= 1")
-    particles = cfg.get("particles", 500 if cfg.get("desk", False) else 1000)
-    seed = cfg.get("seed", 1)
-    scheme = cfg.get("scheme", "wasserstein")
-    threads = cfg.get("threads", 1)
+    particles = cfg.get("particles", 500 if cfg.get("desk") else 1000)
+    seed = cfg.get("seed")
+    scheme = cfg.get("scheme")
+    threads = cfg.get("threads")
     out = _ensure_out(cfg)
     sched = BatchSchedule(particles)
 
@@ -605,16 +649,8 @@ def run_compare(cfg):
     rows, avg = compare_cost_ratio(u_pts, m_pts)
     out = _ensure_out(cfg)
     path = os.path.join(out, "cost_ratio.csv")
-    all_rows = [
-        (label, mse, mlpf_cost, unb_cost, ratio)
-        for label, mse, mlpf_cost, unb_cost, ratio in rows
-    ]
-    all_rows.append(("average", "", "", "", avg))
-    _write_csv(
-        path,
-        ["L", "mse", "mlpf_cost", "randomized_cost", "ratio"],
-        all_rows,
-    )
+    rows.append(("average", "", "", "", avg))
+    _write_csv(path, ["L", "mse", "mlpf_cost", "randomized_cost", "ratio"], rows)
     return {"cost_ratio": path, "average_ratio": f"{avg:.4g}", "plot": _emit_plot_script(out)}
 
 
@@ -718,8 +754,8 @@ def _emit_plot_script(out):
 def run_experiment(cfg):
     """Dispatch a resolved config to its mode runner; returns artifact paths."""
     mode = cfg.mode
-    check_threads(cfg.get("threads", 1))
-    check_scheme(cfg.get("scheme", "wasserstein"))
+    check_threads(cfg.get("threads"))
+    check_scheme(cfg.get("scheme"))
     if cfg.get("repeats", 1) < 1:
         raise InvalidRate(f"repeats must be at least 1, got {cfg.repeats!r}")
     if mode == "generate":
@@ -736,31 +772,15 @@ def run_experiment(cfg):
         result = run_compare(cfg)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    out = cfg.get("out", "results")
+    out = cfg.get("out")
     if os.path.isdir(out):
         write_config(cfg, os.path.join(out, "run_config.txt"))
     return result
 
 
-def _add_common(sp):
-    sp.add_argument("--config", help="flat key = value config file; flags override it")
-    sp.add_argument("--model", help="OU, Langevin, GBM or NLD")
-    sp.add_argument("--n", type=int, help="number of observations")
-    sp.add_argument("--seed", type=int, help="base seed (default 1)")
-    sp.add_argument("--threads", type=int, help="worker processes, this one included (default 1)")
-    sp.add_argument("--out", help="output directory (default results)")
-    sp.add_argument("--desk", action="store_true", default=None,
-                    help="small-scale defaults for quick runs")
-    group = sp.add_mutually_exclusive_group()
-    group.add_argument("--strict", dest="strict", action="store_true", default=None,
-                       help="abort on the first failed draw (default)")
-    group.add_argument("--permissive", dest="strict", action="store_false", default=None,
-                       help="retry failed draws on fresh sub-streams")
-    sp.add_argument("--scheme", choices=SCHEMES,
-                    help="coupled resampling scheme (default wasserstein)")
-
-
 def _build_parser():
+    """One subparser per subcommand, with --config and a flag for each
+    ExperimentConfig field that the subcommand's runner reads."""
     parser = argparse.ArgumentParser(
         prog="unbiasedpf",
         description="Randomized multilevel particle filter experiments.",
@@ -770,57 +790,25 @@ def _build_parser():
     def levels(text):
         return _coerce("levels", text)
 
-    sp = sub.add_parser("generate", help="simulate an observation record")
-    _add_common(sp)
-    sp.add_argument("--gen-level", dest="gen_level",
-                    help='generation level, an integer or "exact"')
-
-    for name in ("run-unbiased", "run-single-rand"):
-        sp = sub.add_parser(name, help=f"{name.replace('-', ' ')} estimator")
-        _add_common(sp)
-        sp.add_argument("--data", help="dataset CSV from `generate`")
-        sp.add_argument("--lmax", type=int, help="truncation level (default 4)")
-        sp.add_argument("--m", type=int, help="number of randomized draws")
-        sp.add_argument("--n0", type=int, help="base sample size N_0")
-        sp.add_argument("--beta", type=float, help="variance decay rate override")
-        sp.add_argument("--rho", type=float, help="geometric level pmf exponent factor")
-        sp.add_argument("--unbounded", action="store_true", default=None,
-                        help="use the unbounded (truly unbiased) plan")
-        sp.add_argument("--cost-budget", dest="cost_budget", type=int,
-                        help="abort if any draw would exceed this Euler-step cost")
-        sp.add_argument("--reference", help="reference CSV for MSE-vs-cost output")
-        sp.add_argument("--mse-points", dest="mse_points", type=int,
-                        help="points on the MSE-vs-cost curve (default 8)")
-
-    sp = sub.add_parser("run-mlpf", help="multilevel particle filter baseline")
-    _add_common(sp)
-    sp.add_argument("--data", help="dataset CSV from `generate`")
-    sp.add_argument("--levels", type=levels, help="maximum levels L, e.g. 1,2,3,4")
-    sp.add_argument("--repeats", type=int, help="independent runs per L")
-    sp.add_argument("--c1", type=float, help="allocation constant (default 1.0)")
-    sp.add_argument("--reference", help="reference CSV for MSE output")
-
-    sp = sub.add_parser("sweep-variance", help="coupled increment variance by level")
-    _add_common(sp)
-    sp.add_argument("--data", help="dataset CSV from `generate`")
-    sp.add_argument("--levels", type=levels, help="coupled levels, e.g. 2,3,4,5")
-    sp.add_argument("--particles", type=int, help="pairs per run (default 1000)")
-    sp.add_argument("--repeats", type=int, help="runs per level (default 100)")
-
-    sp = sub.add_parser("reference", help="exact or high-resolution reference filter")
-    _add_common(sp)
-    sp.add_argument("--data", help="dataset CSV from `generate`")
-    sp.add_argument("--level", type=int, help="PF reference level (non-OU models)")
-    sp.add_argument("--particles", type=int, help="PF reference particle count")
-    sp.add_argument("--repeats", type=int, help="PF reference repeats")
-    sp.add_argument("--refresh", action="store_true", default=None,
-                    help="recompute even if a matching cached reference exists")
-
-    sp = sub.add_parser("compare", help="cost ratio at matched MSE")
-    _add_common(sp)
-    sp.add_argument("--unbiased", help="randomized MSE-vs-cost CSV")
-    sp.add_argument("--mlpf", help="multilevel MSE-vs-cost CSV")
-
+    for mode, text in _SUBCOMMANDS.items():
+        # no abbreviations: run-unbiased --n must not be read as --n0
+        sp = sub.add_parser(mode, help=text, allow_abbrev=False)
+        sp.add_argument("--config", help="flat key = value config file; flags override it")
+        for f in fields(ExperimentConfig):
+            meta = f.metadata
+            if mode not in meta.get("modes", ()):
+                continue
+            flag = "--" + f.name.replace("_", "-")
+            if f.name == "strict":
+                group = sp.add_mutually_exclusive_group()
+                group.add_argument(flag, action="store_true", default=None, help=meta["help"])
+                group.add_argument("--permissive", dest="strict", action="store_false",
+                                   default=None, help="retry failed draws on fresh sub-streams")
+            elif f.type is bool:
+                sp.add_argument(flag, action="store_true", default=None, help=meta["help"])
+            else:
+                sp.add_argument(flag, type=levels if f.type is tuple else f.type,
+                                choices=meta["choices"], help=meta["help"])
     return parser
 
 
@@ -836,15 +824,10 @@ def main(argv=None):
         return 0
 
     ns = vars(args)
-    config_path = ns.pop("config", None)
-    file_cfg = read_config(config_path) if config_path else None
-    known = {f.name for f in fields(ExperimentConfig)}
-    cli_cfg = ExperimentConfig(**{k: v for k, v in ns.items() if k in known})
-    cfg = _merged(file_cfg, cli_cfg)
-    cfg.mode = args.mode
-
+    config_path = ns.pop("config")
     try:
-        artifacts = run_experiment(cfg)
+        file_cfg = read_config(config_path) if config_path else None
+        artifacts = run_experiment(_merged(file_cfg, ExperimentConfig(**ns)))
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2

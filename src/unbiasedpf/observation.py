@@ -267,7 +267,7 @@ def exact_unit_transition(bm, x, gen):
     raise ExactUnavailable(f"no exact transition sampler for model {bm.name!r}")
 
 
-def generate_data(bm, n, level="exact", seed=0, stream=None):
+def generate_data(bm, n, level="exact", seed=0):
     """Simulate a latent skeleton and n unit-time observations.
 
     The skeleton X_0..X_{n-1} starts one transition away from the model's
@@ -283,8 +283,6 @@ def generate_data(bm, n, level="exact", seed=0, stream=None):
     level : "exact" or int
     seed : int
         Experiment seed; the data stream is derived from it.
-    stream : RngStream, optional
-        Override the seed-derived stream (used by tests).
 
     Returns
     -------
@@ -292,9 +290,7 @@ def generate_data(bm, n, level="exact", seed=0, stream=None):
     """
     if n < 1:
         raise ValueError("need at least one observation")
-    if stream is None:
-        stream = RngStream(seed, (ROLE_DATA,))
-    gen = stream.gen
+    gen = RngStream(seed, (ROLE_DATA,)).gen
     exact = level == "exact"
     lv = None if exact else Level(int(level))
     x = np.array(bm.diffusion.initial_state, dtype=float).reshape(1, -1)

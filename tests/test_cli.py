@@ -574,3 +574,104 @@ def test_main_exit_code_for_io_failures(tmp_path, capsys):
                  "--out", str(tmp_path / "c")])
     assert code == 3
     assert "i/o error" in capsys.readouterr().err
+
+
+# every option each subcommand's runner reads, as (flag, value or None for
+# a switch, the field's parsed value)
+_READ_OPTIONS = {
+    "generate": [("--model", "OU", "OU"), ("--n", "4", 4), ("--seed", "3", 3),
+                 ("--gen-level", "exact", "exact")],
+    "reference": [("--data", "d.csv", "d.csv"), ("--model", "NLD", "NLD"), ("--seed", "3", 3),
+                  ("--desk", None, True), ("--level", "5", 5), ("--particles", "40", 40),
+                  ("--repeats", "2", 2), ("--refresh", None, True)],
+    "run-unbiased": [("--data", "d.csv", "d.csv"), ("--model", "OU", "OU"), ("--seed", "3", 3),
+                     ("--desk", None, True), ("--permissive", None, False),
+                     ("--scheme", "maximal", "maximal"), ("--lmax", "3", 3), ("--m", "20", 20),
+                     ("--n0", "4", 4), ("--beta", "0.5", 0.5), ("--rho", "0.75", 0.75),
+                     ("--unbounded", None, True), ("--cost-budget", "900", 900),
+                     ("--reference", "r.csv", "r.csv"), ("--mse-points", "5", 5)],
+    "run-single-rand": [("--data", "d.csv", "d.csv"), ("--model", "OU", "OU"),
+                        ("--seed", "3", 3), ("--desk", None, True), ("--strict", None, True),
+                        ("--scheme", "maximal", "maximal"), ("--lmax", "3", 3),
+                        ("--m", "20", 20), ("--n0", "4", 4), ("--unbounded", None, True),
+                        ("--cost-budget", "900", 900), ("--reference", "r.csv", "r.csv"),
+                        ("--mse-points", "5", 5)],
+    "run-mlpf": [("--data", "d.csv", "d.csv"), ("--model", "OU", "OU"), ("--seed", "3", 3),
+                 ("--desk", None, True), ("--scheme", "maximal", "maximal"),
+                 ("--levels", "1,2", (1, 2)), ("--repeats", "2", 2), ("--c1", "0.5", 0.5),
+                 ("--reference", "r.csv", "r.csv")],
+    "sweep-variance": [("--data", "d.csv", "d.csv"), ("--model", "OU", "OU"),
+                       ("--seed", "3", 3), ("--desk", None, True),
+                       ("--scheme", "maximal", "maximal"), ("--levels", "1,2", (1, 2)),
+                       ("--repeats", "2", 2), ("--particles", "40", 40)],
+    "compare": [("--unbiased", "u.csv", "u.csv"), ("--mlpf", "m.csv", "m.csv")],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_READ_OPTIONS))
+def test_each_subcommand_takes_the_options_its_runner_reads(mode):
+    # besides --config, --out and --threads, which every subcommand takes
+    argv, want = [mode, "--config", "c.txt", "--out", "o", "--threads", "2"], {}
+    for flag, raw, value in _READ_OPTIONS[mode]:
+        argv += [flag] if raw is None else [flag, raw]
+        want["strict" if flag == "--permissive" else flag[2:].replace("-", "_")] = value
+    args = cli._build_parser().parse_args(argv)
+    assert vars(args) == {"mode": mode, "config": "c.txt", "out": "o", "threads": 2, **want}
+
+
+_UNREAD_OPTIONS = [
+    ("generate", ["--desk"]), ("generate", ["--scheme", "maximal"]),
+    ("generate", ["--strict"]), ("generate", ["--permissive"]),
+    ("reference", ["--n", "20"]), ("reference", ["--scheme", "maximal"]),
+    ("reference", ["--strict"]), ("reference", ["--permissive"]),
+    ("run-unbiased", ["--n", "20"]),
+    ("run-single-rand", ["--n", "20"]), ("run-single-rand", ["--beta", "0.5"]),
+    ("run-single-rand", ["--rho", "0.5"]),
+    ("run-mlpf", ["--n", "20"]), ("run-mlpf", ["--strict"]), ("run-mlpf", ["--permissive"]),
+    ("sweep-variance", ["--n", "20"]), ("sweep-variance", ["--strict"]),
+    ("sweep-variance", ["--permissive"]),
+    ("compare", ["--model", "OU"]), ("compare", ["--n", "20"]), ("compare", ["--seed", "2"]),
+    ("compare", ["--desk"]), ("compare", ["--scheme", "maximal"]), ("compare", ["--strict"]),
+    ("compare", ["--permissive"]),
+]
+
+
+def test_options_a_subcommand_does_not_read_are_refused(tmp_path, capsys):
+    # run-unbiased --n is not taken for --n0 either: no abbreviations
+    for i, (mode, extra) in enumerate(_UNREAD_OPTIONS):
+        out = tmp_path / f"out{i}"
+        assert main([mode, *extra, "--out", str(out)]) == 1, (mode, extra)
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_config_files_take_keys_the_subcommand_does_not_read(tmp_path, capsys):
+    data = _generate(tmp_path)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text(f"data = {data}\nlevels = 1,2\nscheme = maximal\nn = 20\n")
+    out = tmp_path / "ref"
+    assert main(["reference", "--config", str(cfg_path), "--out", str(out)]) == 0
+    meta = json.load(open(out / "reference.meta.json"))
+    assert meta["params"]["kind"] == "kalman"
+    assert {"levels", "scheme", "n"} <= set(meta["config"])
+    capsys.readouterr()
+
+
+def test_config_file_problems_exit_1(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("seed = seven\n")
+    for path in (bad, tmp_path / "missing.txt"):
+        out = tmp_path / "gen"
+        assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+        assert "configuration error" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_readme_command_examples_parse():
+    readme = open(os.path.join(os.path.dirname(__file__), "..", "README.md")).read()
+    commands = [line.split() for block in readme.split("```sh")[1:]
+                for line in block.split("```")[0].replace("\\\n", " ").splitlines()
+                if line.startswith("unbiasedpf ")]
+    assert len(commands) >= 5
+    for argv in commands:
+        cli._build_parser().parse_args(argv[1:])

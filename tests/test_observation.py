@@ -19,6 +19,7 @@ from unbiasedpf import (
     write_dataset,
     RngStream,
 )
+from unbiasedpf import observation
 from unbiasedpf.errors import ExactUnavailable, ModelMismatch, UnknownModel
 
 from _oracles import GridFilter, StubGen, linear_gaussian_filter, ou_exact_coeffs
@@ -176,17 +177,20 @@ def test_generate_data_euler_level_recorded(nld):
         generate_data(nld, 0, level=7)
 
 
-def test_generate_data_zero_noise_path(ou):
+def test_generate_data_zero_noise_path(ou, monkeypatch):
     # with all increments forced to zero the latent OU path contracts by
     # e^-1 each unit of time and the observations equal the latent states
-    normals = [np.zeros(1) for _ in range(6)]
-    stub = StubGen(normals=normals)
-    d = generate_data(ou, 3, level="exact", seed=0, stream=type("S", (), {"gen": stub})())
+    def stub_stream(normals):
+        stub = StubGen(normals=normals)
+        monkeypatch.setattr(observation, "RngStream", lambda *args: type("S", (), {"gen": stub})())
+
+    stub_stream([np.zeros(1) for _ in range(6)])
+    d = generate_data(ou, 3, level="exact", seed=0)
     f = math.exp(-1.0)
     assert np.allclose(d.y, [0.0, 0.0, 0.0], atol=1e-15)
     # starting off zero the contraction is visible
-    stub = StubGen(normals=[np.array([1.0])] + [np.zeros(1) for _ in range(5)])
-    d = generate_data(ou, 3, level="exact", seed=0, stream=type("S", (), {"gen": stub})())
+    stub_stream([np.array([1.0])] + [np.zeros(1) for _ in range(5)])
+    d = generate_data(ou, 3, level="exact", seed=0)
     x1 = 0.6575198539828996
     assert d.y[0] == pytest.approx(x1, abs=1e-12)
     assert d.y[1] == pytest.approx(x1 * f, abs=1e-12)

@@ -18,11 +18,14 @@ per-round records that run.py keeps. Runs are sequential: the two sides
 never share the machine with each other.
 
 A metric's verdict, from the benchmark's direction and bound:
-  "gain"          the change reads better in at least 9 of 10 pairs and its
-                  median is better by more than the parent's quartile range;
+  "gain"          the change reads better in at least 9 of 10 pairs, its
+                  median is better by more than the parent's quartile range,
+                  and it failed no more operations than the parent;
   "regression"    its median is worse than the parent's by more than the bound;
   "unresolved"    otherwise, when the parent's quartile range is wider than
-                  the bound, so a move of the bound cannot be told apart;
+                  the bound, so a move of the bound cannot be told apart,
+                  unless every run of the change reads better than every run
+                  of the parent;
   "within bound"  otherwise.
 """
 
@@ -69,17 +72,20 @@ def end_to_end_metrics(tree):
         return {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
 
 
-def verdict(parent, change, wins, pairs, sign, bound):
+def verdict(parent, change, wins, pairs, sign, bound, failed):
     """The verdict of one metric (see the module docstring) from each
-    side's quartiles and the change's wins in `pairs` pairs; sign is +1
-    where higher is better and -1 where lower is."""
+    side's quartiles and range, the change's wins in `pairs` pairs and each
+    side's failed operations; sign is +1 where higher is better and -1
+    where lower is."""
     gap = (change["median"] - parent["median"]) * sign
     spread = parent["q3"] - parent["q1"]
-    if wins >= GAIN_SHARE * pairs and gap > spread:
+    if wins >= GAIN_SHARE * pairs and gap > spread and failed["change"] <= failed["parent"]:
         return "gain"
     if -gap > bound * abs(parent["median"]):
         return "regression"
-    if spread > bound * abs(parent["median"]):
+    worst_change = min(change["min"] * sign, change["max"] * sign)
+    separated = worst_change > max(parent["min"] * sign, parent["max"] * sign)
+    if spread > bound * abs(parent["median"]) and not separated:
         return "unresolved"
     return "within bound"
 
@@ -92,7 +98,8 @@ def seeds_of(text):
 def quartiles(values):
     q1, med, q3 = np.percentile(values, [25, 50, 75])
     return {"median": round(float(med), 6), "q1": round(float(q1), 6),
-            "q3": round(float(q3), 6), "n": len(values)}
+            "q3": round(float(q3), 6), "min": round(float(min(values)), 6),
+            "max": round(float(max(values)), 6), "n": len(values)}
 
 
 def machine():
@@ -139,7 +146,7 @@ def paired(args):
         sign = 1.0 if better == "higher" else -1.0
         rec["wins"][m] = sum(sign * (c - p) > 0 for p, c in pairs)
         rec["verdicts"][m] = verdict(rec["parent"][m], rec["change"][m], rec["wins"][m],
-                                     len(pairs), sign, bound)
+                                     len(pairs), sign, bound, rec["failed_ops"])
     rec["change_over_parent_median"] = {
         m: round(rec["change"][m]["median"] / rec["parent"][m]["median"], 4) for m in metrics}
     return rec
@@ -189,10 +196,12 @@ def main():
                    "--trace 0",
         "pairs": "pair i runs both sides on seed S0 + i; even pairs run the parent first",
         "wins": "pairs where the change reads better; ties count for neither side",
-        "verdicts": "gain: >= 9 of 10 pairs better and a median gap over the parent's "
-                    "quartile range; regression: median worse by more than the bound in "
-                    "BENCHMARK.json; unresolved: the parent's quartile range is wider than "
-                    "that bound; otherwise within bound",
+        "verdicts": "gain: >= 9 of 10 pairs better, a median gap over the parent's "
+                    "quartile range and no more failed operations than the parent; "
+                    "regression: median worse by more than the bound in BENCHMARK.json; "
+                    "unresolved: the parent's quartile range is wider than that bound and "
+                    "some run of the change reads no better than some run of the parent; "
+                    "otherwise within bound",
         "quartiles": "numpy percentile 25/50/75 over the runs of one side",
         "rounds_per_run": "attempted operations / operations per round, one entry per run "
                           "in seed order"}
