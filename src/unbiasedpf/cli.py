@@ -102,7 +102,11 @@ _ON_DATA = ("reference", *_RANDOMIZED, "run-mlpf", "sweep-variance")
 def _option(help, *modes, default=None, choices=None):
     """A config field that is also a flag of the subcommands in `modes`, the
     ones whose runners read it; `default` is what ExperimentConfig.get
-    returns while the field is unset."""
+    returns while the field is unset, and the help text names it."""
+    if isinstance(default, bool):
+        help += " (default)" if default else ""
+    elif default is not None:
+        help += f" (default {default})"
     meta = {"help": help, "modes": modes, "default": default, "choices": choices}
     return field(default=None, metadata=meta)
 
@@ -116,47 +120,47 @@ class ExperimentConfig:
     mode: str = None
     model: str = _option("OU, Langevin, GBM or NLD", "generate", *_ON_DATA)
     n: int = _option("number of observations", "generate")
-    seed: int = _option("base seed (default 1)", "generate", *_ON_DATA, default=1)
-    threads: int = _option("worker processes, this one included (default 1)",
-                           *_SUBCOMMANDS, default=1)
-    out: str = _option("output directory (default results)", *_SUBCOMMANDS, default="results")
+    seed: int = _option("base seed", "generate", *_ON_DATA, default=1)
+    threads: int = _option("worker processes, this one included", *_SUBCOMMANDS, default=1)
+    out: str = _option("output directory", *_SUBCOMMANDS, default="results")
     desk: bool = _option("small-scale defaults for quick runs", *_ON_DATA, default=False)
-    strict: bool = _option("abort on the first failed draw (default)", *_RANDOMIZED,
-                           default=True)
-    scheme: str = _option("coupled resampling scheme (default wasserstein)", *_RANDOMIZED,
+    strict: bool = _option("abort on the first failed draw", *_RANDOMIZED, default=True)
+    scheme: str = _option("coupled resampling scheme", *_RANDOMIZED,
                           "run-mlpf", "sweep-variance", default="wasserstein", choices=SCHEMES)
     gen_level: str = _option('generation level, an integer or "exact"', "generate")
     data: str = _option("dataset CSV from `generate`", *_ON_DATA)
-    lmax: int = _option("truncation level (default 4)", *_RANDOMIZED)
+    lmax: int = _option("truncation level", *_RANDOMIZED, default=4)
     m: int = _option("number of randomized draws", *_RANDOMIZED)
     n0: int = _option("base sample size N_0", *_RANDOMIZED)
     beta: float = _option("variance decay rate override", "run-unbiased")
-    rho: float = _option("geometric level pmf exponent factor", "run-unbiased")
-    unbounded: bool = _option("use the unbounded (truly unbiased) plan", *_RANDOMIZED)
+    rho: float = _option("geometric level pmf exponent factor", "run-unbiased", default=0.9)
+    unbounded: bool = _option("use the unbounded (truly unbiased) plan", *_RANDOMIZED,
+                              default=False)
     cost_budget: int = _option("abort if any draw would exceed this Euler-step cost",
                                *_RANDOMIZED)
     reference: str = _option("reference CSV for the MSE outputs",
                              *_RANDOMIZED, "run-mlpf")
-    mse_points: int = _option("points on the MSE-vs-cost curve (default 8)", *_RANDOMIZED)
+    mse_points: int = _option("points on the MSE-vs-cost curve", *_RANDOMIZED, default=8)
     levels: tuple = _option("run-mlpf: maximum levels L, e.g. 1,2,3,4; "
                             "sweep-variance: coupled levels, e.g. 2,3,4,5",
                             "run-mlpf", "sweep-variance")
     repeats: int = _option("reference: PF reference repeats; run-mlpf: independent runs "
-                           "per L; sweep-variance: runs per level (default 100)",
+                           "per L; sweep-variance: runs per level",
                            "reference", "run-mlpf", "sweep-variance")
-    c1: float = _option("allocation constant (default 1.0)", "run-mlpf")
+    c1: float = _option("allocation constant", "run-mlpf", default=1.0)
     particles: int = _option("reference: PF reference particle count; "
-                             "sweep-variance: pairs per run (default 1000)",
+                             "sweep-variance: pairs per run",
                              "reference", "sweep-variance")
     level: int = _option("PF reference level (non-OU models)", "reference")
     refresh: bool = _option("recompute even if a matching cached reference exists",
-                            "reference")
+                            "reference", default=False)
     unbiased: str = _option("randomized MSE-vs-cost CSV", "compare")
     mlpf: str = _option("multilevel MSE-vs-cost CSV", "compare")
 
     def get(self, name, default=None):
-        """The field's value; while it is unset, its global default if it
-        has one (seed, threads, out, desk, strict, scheme), else `default`."""
+        """The field's value; while it is unset, its constant default if it
+        has one, else `default` (a default that depends on the mode, --desk
+        or the model)."""
         v = getattr(self, name)
         if v is None:
             v = self.__dataclass_fields__[name].metadata.get("default")
@@ -357,7 +361,7 @@ def run_reference(cfg):
         params["particles"] = cfg.get("particles", 4000 if desk else 20000)
         params["repeats"] = cfg.get("repeats", 8 if desk else 20)
 
-    if not cfg.get("refresh", False) and os.path.exists(csv_path) and os.path.exists(meta_path):
+    if not cfg.get("refresh") and os.path.exists(csv_path) and os.path.exists(meta_path):
         with open(meta_path) as fh:
             old = json.load(fh)
         if old.get("params") == params:
@@ -396,12 +400,12 @@ def run_reference(cfg):
 def _build_plan(cfg, bm, single):
     n0 = cfg.get("n0", default_base_size(bm.diffusion))
     if single:
-        lmax = None if cfg.get("unbounded", False) else cfg.get("lmax", 4)
+        lmax = None if cfg.get("unbounded") else cfg.get("lmax")
         return make_single_rand_plan(lmax, n0)
-    if cfg.get("unbounded", False):
+    if cfg.get("unbounded"):
         beta = cfg.get("beta", 1.0 if bm.diffusion.constant_diffusion else 0.5)
-        return make_theory_plan(beta, cfg.get("rho", 0.9), n0)
-    return make_truncated_plan(cfg.get("lmax", 4), n0)
+        return make_theory_plan(beta, cfg.get("rho"), n0)
+    return make_truncated_plan(cfg.get("lmax"), n0)
 
 
 def _mse_vs_cost(est, ref_final, points):
@@ -488,7 +492,7 @@ def run_randomized(cfg):
     artifacts = {"draws": draws_path, "summary": summary_path, "meta": meta_path}
 
     if ref is not None:
-        rows = _mse_vs_cost(est, float(ref[-1]), cfg.get("mse_points", 8))
+        rows = _mse_vs_cost(est, float(ref[-1]), cfg.get("mse_points"))
         mse_path = os.path.join(out, f"{prefix}_mse_vs_cost.csv")
         _write_csv(mse_path, ["M", "groups", "mse", "cost"], rows)
         artifacts["mse_vs_cost"] = mse_path
@@ -503,7 +507,7 @@ def run_mlpf(cfg):
     regime = "constant" if bm.diffusion.constant_diffusion else "nonconstant"
     levels = cfg.get("levels", (1, 2, 3, 4))
     repeats = cfg.get("repeats", 50 if cfg.get("desk") else 100)
-    c1 = cfg.get("c1", 1.0)
+    c1 = cfg.get("c1")
     seed = cfg.get("seed")
     threads = cfg.get("threads")
     scheme = cfg.get("scheme")

@@ -295,16 +295,13 @@ def _run_cell(plan, bm, data, l, p, streams, scheme):
     first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
     num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams], counter)
     traces = combined_rows(first.batch_sizes(0), num, den, 0, errors, l)[:, :, 0]
-    # only the rows whose first filter succeeded run the coupled filter, so a
-    # failed row keeps its first error; run_batches needs at least one row
-    live = [r for r in range(len(streams)) if r not in errors]
-    if l and live:
-        sub = [streams[r].child(1) for r in live]
+    if l:  # every row runs the coupled filter, and a failed row keeps its first error
+        sub = [s.child(1) for s in streams]
         num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counter)
-        both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errs, l)
-        errors.update((live[j], err) for j, err in errs.items())
+        errors = {**errs, **errors}
+        both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errors, l)
         a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
-        traces[live] = a * traces[live] + b * both[:, :, 0] - both[:, :, 1]
+        traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
     return traces, counter.euler_steps, errors
 
 

@@ -33,7 +33,7 @@ from unbiasedpf import (
     RngStream,
 )
 from unbiasedpf import randomization
-from unbiasedpf.cpf import SCHEMES, cpf_rows
+from unbiasedpf.cpf import SCHEMES
 from unbiasedpf.errors import (CostBudgetExceeded, DegenerateWeights, InvalidRate,
                                NumericalOverflow)
 from unbiasedpf.observation import DataSet
@@ -427,13 +427,6 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
     # 80 rows stack every draw of a cell at once
     if rows is not None:
         monkeypatch.setattr(randomization, "_chunk_rows", lambda *args: rows)
-    coupled_rows = []
-
-    def counted_cpf_rows(bm, data, schedule, p, level, streams, *args):
-        coupled_rows.append(len(streams))
-        return cpf_rows(bm, data, schedule, p, level, streams, *args)
-
-    monkeypatch.setattr(randomization, "cpf_rows", counted_cpf_rows)
     bm = make_benchmark(model)
     data = DataSet(y=ou_data_n3.y, model=model)
     root = RngStream(8)
@@ -456,14 +449,11 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
 
         # a level-only cell (l = 2, N_0 = 1) whose rows succeed, or fail in
         # the first filter, the coupled one or both; a row keeps its first
-        # error, which the first filter run alone raises, and only the rows
-        # whose first filter succeeded run the coupled one
+        # error, which the first filter run alone raises
         nld, one = _log_link_nld(), DataSet(y=[0.0], model="NLD")
         single = make_single_rand_plan(2, 1)
         streams = [RngStream(2).child(i + 1, ROLE_SINGLE) for i in range(12)]
-        coupled_rows.clear()
         traces, _, errors = randomization._run_cell(single, nld, one, 2, 2, streams, scheme)
-        assert coupled_rows == [4]
         outcomes = set()
         for r, stream in enumerate(streams):
             first = _error_of(batch_pf_run, nld, one, BatchSchedule(2), 0, Level(2),
