@@ -13,16 +13,16 @@ those flags plus --config, --out and --threads, and refuses any other.
 Every run is reproducible from its config: a flat key = value file
 (--config) may set any field, explicit flags take precedence, and each
 artifact directory gets the resolved configuration echoed into its
-metadata.
+metadata. The CSV and JSON artifacts are written and read by `observation`;
+a file whose contents they cannot parse, a side or cache file included, is
+a configuration error naming the file.
 
 Exit codes: 1 for configuration problems, 2 for numerical failures, 3 for
 I/O failures.
 """
 
 import argparse
-import csv
 import hashlib
-import json
 import math
 import os
 import sys
@@ -47,13 +47,8 @@ from .errors import (
     UnsupportedDimension,
 )
 from .mlpf import allocate, mlpf_cost, mlpf_estimate
-from .observation import (
-    generate_data,
-    kalman_reference,
-    make_benchmark,
-    read_dataset,
-    write_dataset,
-)
+from .observation import (_read_csv, _read_json, _write_csv, _write_meta, generate_data,
+                          kalman_reference, make_benchmark, read_dataset, write_dataset)
 from .parallel import check_threads, parallel_for
 from .pf import BatchSchedule, batch_pf_run
 from .randomization import (
@@ -168,10 +163,9 @@ class ExperimentConfig:
 
 
 def _coerce(name, raw):
-    """Parse a raw config-file string into the field's annotated type."""
-    if raw is None:
-        return None
-    s = str(raw).strip()
+    """Parse a raw config-file string into the field's annotated type;
+    ValueError when it is not one."""
+    s = raw.strip()
     if s == "" or s.lower() == "none":
         return None
     kind = ExperimentConfig.__annotations__[name]
@@ -185,7 +179,7 @@ def _coerce(name, raw):
             return True
         if low in ("false", "0", "no"):
             return False
-        raise ConfigError(f"cannot read boolean config value {name} = {raw!r}")
+        raise ValueError("not a boolean")
     if kind is tuple:
         return tuple(int(tok) for tok in s.replace(",", " ").split())
     return s
@@ -207,7 +201,12 @@ def read_config(path):
                 key = key.strip().replace("-", "_")
                 if key not in known:
                     raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-                values[key] = _coerce(key, raw)
+                try:
+                    values[key] = _coerce(key, raw)
+                except ValueError as err:
+                    raise ConfigError(
+                        f"{path}:{lineno}: cannot read {key} = {raw.strip()!r}: {err}"
+                    ) from None
     except OSError as err:
         raise ConfigError(f"cannot read config file {path}: {err}") from err
     return ExperimentConfig(**values)
@@ -248,23 +247,6 @@ def _ensure_out(cfg):
     return out
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
-
-
-def _write_meta(path, payload):
-    """Write payload as strict JSON. It is serialised before the file is
-    opened, so a NaN or infinity raises ValueError and leaves no file; pass
-    such values through _finite_or_none, which writes them as null."""
-    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
-    with open(path, "w") as fh:
-        fh.write(text + "\n")
-
-
 def _finite_or_none(value):
     """value, or None (JSON null) when it is NaN or infinite."""
     return value if math.isfinite(value) else None
@@ -296,21 +278,6 @@ def _benchmark_for(cfg, data=None):
     if not name:
         raise ConfigError("no model given (--model) and the dataset does not name one")
     return make_benchmark(name)
-
-
-def _read_csv(path, what, columns):
-    """The rows of a CSV file as dicts, the cells of `columns` as floats;
-    ConfigError naming the file when its header lacks one of `columns`, and
-    the line when one of their cells is not a number (or is missing)."""
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        for col in columns:
-            if col not in (reader.fieldnames or ()):
-                raise ConfigError(f"{what} {path} has no {col!r} column")
-        try:
-            return [{**row, **{col: float(row[col]) for col in columns}} for row in reader]
-        except ValueError as err:
-            raise ConfigError(f"{what} {path}, line {reader.line_num}: {err}") from None
 
 
 def _read_reference_means(path, n):
@@ -362,9 +329,7 @@ def run_reference(cfg):
         params["repeats"] = cfg.get("repeats", 8 if desk else 20)
 
     if not cfg.get("refresh") and os.path.exists(csv_path) and os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            old = json.load(fh)
-        if old.get("params") == params:
+        if _read_json(meta_path, "cached reference").get("params") == params:
             return {"reference": csv_path, "cached": "yes"}
 
     if exact:

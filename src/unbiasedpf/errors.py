@@ -1,4 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the whole-number check."""
+
+
+def whole_number(value, least):
+    """value as an int when it is a whole number of at least `least`, else
+    None (also for None, NaN, infinities and strings)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == value and n >= least else None
 
 
 class FilterError(Exception):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costs import cost_of_draw
 from .cpf import batch_cpf_run, check_scheme
-from .errors import InvalidRate
+from .errors import InvalidRate, whole_number
 from .parallel import check_threads, parallel_for
 from .pf import BatchSchedule, batch_pf_run
 from .rng import ROLE_MLPF, RngStream
@@ -40,13 +40,12 @@ def allocate(max_level, regime, c1=1.0):
     M_l = ceil(c1 * 2^(2L - 1.5 l)); regime "nonconstant" uses
     M_l = ceil(c1 * 2^(2L - l) * max(L, 1)).
     """
-    if int(max_level) != max_level or max_level < 0:
+    if (big_l := whole_number(max_level, 0)) is None:
         raise InvalidRate(f"max_level must be a non-negative integer, got {max_level!r}")
-    if c1 <= 0:
-        raise InvalidRate(f"c1 must be positive, got {c1!r}")
+    if not 0 < c1 < math.inf:
+        raise InvalidRate(f"c1 must be positive and finite, got {c1!r}")
     if regime not in ("constant", "nonconstant"):
         raise ValueError(f"unknown allocation regime {regime!r}")
-    big_l = int(max_level)
     sizes = np.empty(big_l + 1, dtype=np.int64)
     for l in range(big_l + 1):
         if regime == "constant":

@@ -1,4 +1,6 @@
-"""Observation densities, benchmark models, data generation and references.
+"""Observation densities, benchmark models, data generation and references,
+and the CSV and JSON formats of every artifact the command line reads or
+writes.
 
 Observations y_1, y_2, ... arrive at unit times. The convention throughout
 is that y_{k+1} is emitted by the skeleton state X_k, i.e. the first
@@ -348,6 +350,52 @@ def kalman_reference(bm, data):
     return out
 
 
+def _write_csv(path, header, rows):
+    """Write header and rows as CSV, floats by repr so they read back bit for bit."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(v) if isinstance(v, float) else v for v in row])
+
+
+def _write_meta(path, payload):
+    """Write payload as strict JSON. It is serialised before the file is
+    opened, so a NaN or infinity raises ValueError and leaves no file; pass
+    such values through cli._finite_or_none, which writes them as null."""
+    text = json.dumps(payload, indent=2, sort_keys=True, default=str, allow_nan=False)
+    with open(path, "w") as fh:
+        fh.write(text + "\n")
+
+
+def _read_csv(path, what, columns):
+    """The rows of a CSV file as dicts, the cells of `columns` as floats;
+    ValueError naming the file when its header lacks one of `columns`, and
+    the line when one of their cells is not a number (or is missing)."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh, restval="")
+        for col in columns:
+            if col not in (reader.fieldnames or ()):
+                raise ValueError(f"{what} {path} has no {col!r} column")
+        try:
+            return [{**row, **{col: float(row[col]) for col in columns}} for row in reader]
+        except ValueError as err:
+            raise ValueError(f"{what} {path}, line {reader.line_num}: {err}") from None
+
+
+def _read_json(path, what):
+    """The JSON object in a file; ValueError naming the file when its text
+    is not JSON or does not hold an object."""
+    with open(path) as fh:
+        try:
+            value = json.load(fh)
+        except ValueError as err:
+            raise ValueError(f"{what} {path}: {err}") from None
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} {path} does not hold a JSON object")
+    return value
+
+
 def _sidecar_path(path):
     base, _ = os.path.splitext(str(path))
     return base + ".meta.json"
@@ -355,47 +403,22 @@ def _sidecar_path(path):
 
 def write_dataset(data, path):
     """Write observations as CSV (header k,y) plus a JSON metadata sidecar."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "y"])
-        for k, yk in data.observations():
-            w.writerow([k, repr(yk)])
-    meta = {
-        "model": data.model,
-        "level": data.level,
-        "seed": data.seed,
-        "params": data.params,
-    }
-    with open(_sidecar_path(path), "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_csv(path, ["k", "y"], data.observations())
+    meta = {"model": data.model, "level": data.level, "seed": data.seed, "params": data.params}
+    _write_meta(_sidecar_path(path), meta)
 
 
 def read_dataset(path):
     """Read a dataset written by write_dataset (sidecar optional).
 
     Raises ValueError naming the path when the file has no y column, a row
-    without a number in it, or no observations.
+    without a number in it, or no observations, or when the sidecar is not
+    a JSON object.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if "y" not in (reader.fieldnames or ()):
-            raise ValueError(f"dataset {path} has no 'y' column")
-        try:
-            ys = [float(row["y"]) for row in reader]
-        except ValueError as err:
-            raise ValueError(f"dataset {path} line {reader.line_num}: {err}") from None
+    ys = [row["y"] for row in _read_csv(path, "dataset", ["y"])]
     if not ys:
         raise ValueError(f"dataset {path} has no observations")
-    meta = {}
     sidecar = _sidecar_path(path)
-    if os.path.exists(sidecar):
-        with open(sidecar) as fh:
-            meta = json.load(fh)
-    return DataSet(
-        y=np.asarray(ys),
-        model=meta.get("model", ""),
-        level=meta.get("level", "exact"),
-        seed=meta.get("seed", 0),
-        params=meta.get("params", {}),
-    )
+    meta = _read_json(sidecar, "dataset side file") if os.path.exists(sidecar) else {}
+    # a field the sidecar lacks keeps DataSet's default
+    return DataSet(ys, **{k: meta[k] for k in ("model", "level", "seed", "params") if k in meta})

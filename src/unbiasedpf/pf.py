@@ -28,7 +28,7 @@ from itertools import compress, repeat
 
 import numpy as np
 
-from .errors import DegenerateWeights, InvalidRate, InvalidSimplex
+from .errors import DegenerateWeights, InvalidRate, InvalidSimplex, whole_number
 from .sde import draw, overflow_error, transition
 
 _ZERO_MASS = "combined batch estimate has zero mass"
@@ -135,9 +135,9 @@ class BatchSchedule:
     n0: int
 
     def __post_init__(self):
-        if int(self.n0) != self.n0 or self.n0 < 1:
+        if (n0 := whole_number(self.n0, 1)) is None:
             raise ValueError(f"base sample size must be a positive integer, got {self.n0!r}")
-        object.__setattr__(self, "n0", int(self.n0))
+        object.__setattr__(self, "n0", n0)
 
     def size(self, p):
         """Total sample size N_p."""
@@ -276,9 +276,9 @@ def run_batches(bm, data, schedule, p, level, streams, start, step):
 
 def check_size_index(p):
     """p as an int, or InvalidRate unless it is a non-negative integer."""
-    if int(p) != p or p < 0:
+    if (n := whole_number(p, 0)) is None:
         raise InvalidRate(f"p must be a non-negative integer, got {p!r}")
-    return int(p)
+    return n
 
 
 def combined_table(result, sizes, l):

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import cost_of_draw, single_rand_draw_cost
-from .errors import CostBudgetExceeded, InvalidRate
+from .errors import CostBudgetExceeded, InvalidRate, whole_number
 from .pf import BatchSchedule, combined_rows, pf_rows
 from .cpf import check_scheme, cpf_rows
 from .parallel import check_threads, parallel_for
@@ -196,11 +196,10 @@ def make_truncated_plan(l_max, n0):
     residual bias is that of the level-l_max filter with N_{l_max - l}-style
     sample sizes, decaying geometrically in l_max.
     """
-    if int(l_max) != l_max or l_max < 0:
+    if (top := whole_number(l_max, 0)) is None:
         raise InvalidRate(f"l_max must be a non-negative integer, got {l_max!r}")
-    l_max = int(l_max)
-    level_pmf = Pmf([2.0 ** (-1.5 * l) for l in range(l_max + 1)])
-    p_pmfs = tuple(Pmf(_truncated_size_masses(l_max - l)) for l in range(l_max + 1))
+    level_pmf = Pmf([2.0 ** (-1.5 * l) for l in range(top + 1)])
+    p_pmfs = tuple(Pmf(_truncated_size_masses(top - l)) for l in range(top + 1))
     return RandomizationPlan(
         kind="truncated",
         level_pmf=level_pmf,
@@ -219,10 +218,9 @@ def make_single_rand_plan(l_max, n0):
     if l_max is None:
         level_pmf = Pmf.from_function(_log_weighted_mass)
     else:
-        if int(l_max) != l_max or l_max < 0:
+        if (top := whole_number(l_max, 0)) is None:
             raise InvalidRate(f"l_max must be a non-negative integer, got {l_max!r}")
-        l_max = int(l_max)
-        level_pmf = Pmf([_log_weighted_mass(l) for l in range(l_max + 1)])
+        level_pmf = Pmf([_log_weighted_mass(l) for l in range(top + 1)])
     return RandomizationPlan(
         kind="single",
         level_pmf=level_pmf,
@@ -321,9 +319,10 @@ def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
     N_l - N_{l-1} particles and the fine marginal of a coupled filter with
     N_{l-1} pairs, minus that coupled filter's coarse marginal.
     """
-    if int(l) != l or int(p) != p:
+    indices = whole_number(l, -math.inf), whole_number(p, -math.inf)
+    if None in indices:
         raise InvalidRate(f"the indices must be integers, got l={l!r}, p={p!r}")
-    l, p = int(l), int(p)
+    l, p = indices
     if plan.level_pmf.mass(l) <= 0.0:
         raise InvalidRate(f"level {l} carries no mass under this plan")
     if plan.pmf_p(l).mass(p) <= 0.0:
@@ -395,9 +394,9 @@ def _reduce_draws(plan, ls, ps, traces, costs, retries):
 
 def _check_draw_count(m):
     """Return m as an int; raise InvalidRate unless it is a positive integer."""
-    if int(m) != m or m < 1:
+    if (n := whole_number(m, 1)) is None:
         raise InvalidRate(f"the number of draws must be a positive integer, got {m!r}")
-    return int(m)
+    return n
 
 
 # A chunk stacks at most _MAX_GENERATORS live batch generators, and its

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidLevel, NumericalOverflow
+from .errors import InvalidLevel, NumericalOverflow, whole_number
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,9 @@ class Level:
     l: int
 
     def __post_init__(self):
-        if int(self.l) != self.l or self.l < 0:
+        if (l := whole_number(self.l, 0)) is None:
             raise InvalidLevel(f"level must be a non-negative integer, got {self.l!r}")
-        object.__setattr__(self, "l", int(self.l))
+        object.__setattr__(self, "l", l)
 
     @property
     def dt(self):

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from unbiasedpf.cli import (
 )
 from unbiasedpf.errors import ConfigError, NonOverlappingRange
 from unbiasedpf.mlpf import allocate, mlpf_cost
-from unbiasedpf.observation import read_dataset
+from unbiasedpf.observation import _read_csv, _write_csv, read_dataset
 
 
 def _read_rows(path):
@@ -78,6 +79,16 @@ def test_read_config_rejects_bad_files(tmp_path):
 
     with pytest.raises(ConfigError):
         read_config(tmp_path / "missing.txt")
+
+
+@pytest.mark.parametrize("key,raw", [("seed", "seven"), ("c1", "1.5x"), ("levels", "1,x")])
+def test_read_config_names_the_line_key_and_value_it_cannot_read(tmp_path, key, raw):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"model = OU\n{key} = {raw}\n")
+    with pytest.raises(ConfigError) as info:
+        read_config(path)
+    assert f"{path}:2:" in str(info.value)
+    assert f"{key} = {raw!r}" in str(info.value)
 
 
 def test_cli_flags_override_config_file():
@@ -675,3 +686,58 @@ def test_readme_command_examples_parse():
     assert len(commands) >= 5
     for argv in commands:
         cli._build_parser().parse_args(argv[1:])
+
+
+@pytest.mark.parametrize("c1", ["inf", "nan"])
+def test_non_finite_c1_is_a_configuration_error(tmp_path, capsys, c1):
+    data = _generate(tmp_path)
+    out = tmp_path / "mlpf"
+    assert main(["run-mlpf", "--data", data, "--levels", "1", "--repeats", "2",
+                 "--c1", c1, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "configuration error" in err and "c1" in err
+    assert not out.exists()
+
+
+def _reference_argv(data, out, *extra):
+    return ["reference", "--data", data, "--out", str(out), *extra]
+
+
+@pytest.mark.parametrize("side_file,text", [
+    ("data", "{bad"),
+    ("reference", "[1]"),
+    ("reference", "{x"),
+])
+def test_unreadable_side_files_are_configuration_errors(tmp_path, capsys, side_file, text):
+    data = _generate(tmp_path)
+    out = tmp_path / "ref"
+    assert main(_reference_argv(data, out)) == 0
+    bad = os.path.join(os.path.dirname(data), "data.meta.json") if side_file == "data" \
+        else str(out / "reference.meta.json")
+    _write_text(Path(bad), text)
+    capsys.readouterr()
+    assert main(_reference_argv(data, out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and bad in err
+    assert "Traceback" not in err
+
+
+def test_refresh_recomputes_over_an_unreadable_cache(tmp_path, capsys):
+    data = _generate(tmp_path)
+    out = tmp_path / "ref"
+    assert main(_reference_argv(data, out)) == 0
+    written = (out / "reference.csv").read_bytes()
+    (out / "reference.meta.json").write_text("{x")
+    (out / "reference.csv").write_text("k,mean\n")
+    assert main(_reference_argv(data, out, "--refresh")) == 0
+    assert "cached" not in capsys.readouterr().out
+    assert (out / "reference.csv").read_bytes() == written
+    assert json.loads((out / "reference.meta.json").read_text())["params"]["kind"] == "kalman"
+
+
+def test_csv_round_trip_keeps_floats_bit_for_bit(tmp_path):
+    values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1, -2.5e-310, 1 / 3]
+    path = str(tmp_path / "floats.csv")
+    _write_csv(path, ["k", "x"], [(i, v) for i, v in enumerate(values)])
+    back = [row["x"] for row in _read_csv(path, "test file", ["x"])]
+    assert np.array(back).tobytes() == np.array(values).tobytes()

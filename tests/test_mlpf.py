@@ -42,6 +42,12 @@ def test_allocate_rejects_bad_inputs():
         allocate(2, "balanced")
 
 
+@pytest.mark.parametrize("c1", [float("inf"), float("nan")])
+def test_allocate_rejects_non_finite_c1(c1):
+    with pytest.raises(InvalidRate, match="c1 must be positive and finite"):
+        allocate(2, "constant", c1)
+
+
 def test_level_zero_run_matches_plain_filter(ou, ou_data):
     # with max level 0 the multilevel estimator is exactly one plain
     # level-0 particle filter, down to the bit pattern of its stream
