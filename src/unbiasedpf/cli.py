@@ -296,7 +296,10 @@ def run_generate(cfg):
     gl = cfg.gen_level
     if gl is None:
         gl = "exact" if bm.name in ("OU", "GBM") else "9"
-    level = "exact" if str(gl) == "exact" else int(gl)
+    try:
+        level = "exact" if str(gl) == "exact" else int(str(gl))
+    except ValueError:
+        raise ConfigError(f'--gen-level must be an integer or "exact", got {gl!r}') from None
     data = generate_data(bm, cfg.n, level, cfg.get("seed"))
     out = _ensure_out(cfg)
     path = os.path.join(out, "data.csv")
@@ -476,13 +479,14 @@ def run_mlpf(cfg):
     seed = cfg.get("seed")
     threads = cfg.get("threads")
     scheme = cfg.get("scheme")
-    allocs = [allocate(int(big_l), regime, c1) for big_l in levels]
+    allocs = [allocate(big_l, regime, c1) for big_l in levels]
     ref = _read_reference_means(cfg.reference, data.n) if cfg.reference else None
     out = _ensure_out(cfg)
 
     run_rows = []
     mse_rows = []
-    for big_l, alloc in zip(levels, allocs):
+    for alloc in allocs:
+        big_l = alloc.max_level
         def work(r, alloc=alloc):
             res = mlpf_estimate(
                 bm, data, alloc,

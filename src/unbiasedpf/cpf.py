@@ -150,15 +150,18 @@ def cpf_step(model, level, gens, scheme, xf, xc, log_w_fine, log_w_coarse,
     return coupled_transition(model, gather(xf, idx_f), gather(xc, idx_c), level, gens, counter)
 
 
-def cpf_rows(bm, data, schedule, p, level, streams, scheme, counter=None):
+def cpf_rows(bm, data, schedule, ps, level, streams, scheme, counters=None):
     """run_batches of the coupled level-l filter on each stream, fine side
-    first; pairs start with one coupled transition away from x*."""
+    first; pairs start with one coupled transition away from x*. counters[q],
+    if given, counts one row's Euler steps in batch q."""
     model = bm.diffusion
     return run_batches(
-        bm, data, schedule, p, level, streams,
-        lambda gens, x: coupled_transition(model, x, x, level, gens, counter),
-        lambda gens, xf, xc, lw_f, lw_c, m_f, m_c: cpf_step(
-            model, level, gens, scheme, xf, xc, lw_f, lw_c, counter, (m_f, m_c)),
+        bm, data, schedule, ps, level, streams,
+        lambda q, gens, x: coupled_transition(
+            model, x, x, level, gens, counters and counters[q]),
+        lambda q, gens, xf, xc, lw_f, lw_c, m_f, m_c: cpf_step(
+            model, level, gens, scheme, xf, xc, lw_f, lw_c, counters and counters[q],
+            (m_f, m_c)),
     )
 
 
@@ -173,6 +176,6 @@ def batch_cpf_run(bm, data, schedule, p, level, stream, scheme="wasserstein",
     """
     check_scheme(scheme)
     p = check_size_index(p)
-    result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, counter)
+    result = cpf_rows(bm, data, schedule, p, level, [stream], scheme, [counter] * (p + 1))
     both = combined_table(result, schedule.batch_sizes(p), level.l)
     return both[:, 0] - both[:, 1]

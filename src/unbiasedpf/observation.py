@@ -294,7 +294,7 @@ def generate_data(bm, n, level="exact", seed=0):
         raise ValueError("need at least one observation")
     gen = RngStream(seed, (ROLE_DATA,)).gen
     exact = level == "exact"
-    lv = None if exact else Level(int(level))
+    lv = None if exact else Level(level)
     x = np.array(bm.diffusion.initial_state, dtype=float).reshape(1, -1)
     ys = np.empty(n)
     for k in range(n):

@@ -13,8 +13,9 @@ N_q-particle average in expectation while letting a randomized estimator
 reuse the batches shared by consecutive prefixes.
 
 One per-time loop, run_batches, serves this filter and the coupled one of
-cpf and runs R independent filters as stacked rows: a batch is a tuple of
-(R, N_q, d) arrays, one cloud here and a fine/coarse pair there. Each row
+cpf and runs R independent filters as stacked rows, row r through its own
+batches 0..p_r: batch q is a tuple of (R_q, N_q, d) arrays, one cloud here
+and a fine/coarse pair there, stacking the rows whose p_r >= q. Each row
 is bit-identical to its one-row run (batch_pf_run is that call). Every
 size-weighted combination, for a stack or one row, is combined_rows; the
 one-row calls return its values as a plain (n, p+1) array. The filter
@@ -24,7 +25,7 @@ multinomial_indices with one generator is the checked one-row call.
 
 import math
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 
 import numpy as np
 
@@ -182,95 +183,114 @@ def combined_rows(sizes, num, den, q, errors, l):
 
 def _shared_scale(maxima):
     """Each row's largest log-weight, from the batches' per-row maxima, as
-    Python's max over them finds it: a NaN maximum after batch 0 is passed over."""
+    Python's max over them finds it: a NaN maximum after batch 0 is passed
+    over, and so is a -inf that pads a row past its own batches."""
     shift = maxima[0]
     for m in maxima[1:]:
         shift = np.where(m > shift, m, shift)
     return shift
 
 
-def _batch_values(clouds, log_gs, phi, shift):
-    """Per-batch particle means of g * phi and g, g = exp(log g - shift)."""
-    sh = np.asarray(shift)[..., None]
-    num = np.empty(sh.shape[:-1] + (len(clouds),))
-    den = np.empty_like(num)
-    for q, (x, lg) in enumerate(zip(clouds, log_gs)):
-        # sum / size is np.mean's own arithmetic without its call overhead
-        g = np.exp(lg - sh)
-        gphi = g * np.asarray(phi(x.reshape(-1, x.shape[-1])), dtype=float).reshape(lg.shape)
-        num[..., q] = gphi.sum(axis=-1) / lg.shape[-1]
-        den[..., q] = g.sum(axis=-1) / lg.shape[-1]
-    return num, den
+def _batch_values(x, log_g, phi, shift):
+    """Each row's particle means of g * phi and g over one batch's (R, N, d)
+    cloud x, g = exp(log g - shift) with the rows' (R,) scales."""
+    # sum / size is np.mean's own arithmetic without its call overhead
+    g = np.exp(log_g - shift[:, None])
+    gphi = g * np.asarray(phi(x.reshape(-1, x.shape[-1])), dtype=float).reshape(log_g.shape)
+    return gphi.sum(axis=-1) / log_g.shape[-1], g.sum(axis=-1) / log_g.shape[-1]
 
 
-def run_batches(bm, data, schedule, p, level, streams, start, step):
-    """Filter p+1 independent batches for each stream, one row per stream.
+def run_batches(bm, data, schedule, ps, level, streams, start, step):
+    """Filter batches 0..ps[r] for each stream r, one row per stream.
 
+    ps holds each row's p, non-increasing, or is one p for every row.
     Batch q of row r draws from streams[r].child(q) and has
-    schedule.batch_sizes(p)[q] particles. start(gens, x) turns x* tiled as
-    x into the batch's tuple of (R, N_q, d) clouds, one or (fine, coarse).
-    At each time every cloud is weighted by log_g, each side gets its batch
-    values of bm.phi and, but after the last time, step(gens, *clouds,
-    *log_weights, *maxima) resamples and propagates each batch, maxima
-    being each side's (R,) log-weight maxima, all finite. A failing row
-    leaves the stack; errors[row] is the error its run alone raises there,
-    with l, p and the time k of the failed weights or overflowed states.
-    Returns (num, den, errors), num and den (n, sides, R, p+1); a failed
-    row's entries are meaningless.
+    schedule.batch_sizes(ps[r])[q] particles, so batch q stacks the prefix
+    of rows whose p >= q. start(q, gens, x) turns x* tiled as x into batch
+    q's tuple of (R_q, N_q, d) clouds, one or (fine, coarse). At each time
+    every cloud is weighted by log_g, each side gets its batch values of
+    bm.phi and, but after the last time, step(q, gens, *clouds,
+    *log_weights, *maxima) resamples and propagates batch q, maxima being
+    each side's (R_q,) log-weight maxima, all finite. A row's scale is the
+    largest log-weight of its own batches. A failing row leaves every
+    batch; errors[row] is the error its run alone raises there, with l,
+    its p and the time k of the failed weights or overflowed states.
+    Returns (num, den, errors), num and den (n, sides, R, max(ps)+1); a
+    failed row's entries, and a row's entries past its p, are meaningless.
     """
     obs, model = bm.observation, bm.diffusion
     x0 = np.asarray(model.initial_state, dtype=float)
     n, count, d = data.n, len(streams), model.dim
-    gens = [[s.child(q).gen for s in streams] for q in range(p + 1)]  # of the live rows
-    live, at, errors = np.arange(count), slice(None), {}
-    batches = [[] for _ in range(p + 1)]  # batch q's row-stacked arrays
-    peaks = np.empty((0, 0, count))  # per-row log-weight maxima, (p+1, sides, R)
+    ps = np.full(count, ps) if np.ndim(ps) == 0 else np.asarray(ps)
+    top = int(ps[0])
+    # batch q's generators and row-stacked arrays, of the live rows with p >= q
+    gens = [[s.child(q).gen for s in streams[:np.count_nonzero(ps >= q)]] for q in range(top + 1)]
+    batches = [[] for _ in range(top + 1)]
+    live, errors = np.arange(count), {}
+    past = np.arange(top + 1)[:, None, None] > ps  # (p+1, 1, R): padding past a row's p
+    peaks = np.empty((top + 1, 0, count))  # per-row log-weight maxima, -inf past a row's p
+
+    def rows(h):  # where the first h live rows write
+        return slice(h) if len(live) == count else live[:h]
+
+    def failed(bad):  # the p of each live row that fails
+        return ps[live[bad]].tolist()
 
     def drop(bad, errs):
-        nonlocal live, at, gens, batches, peaks
-        errors.update(zip(live[bad].tolist(), errs if isinstance(errs, list) else repeat(errs)))
+        nonlocal live, past, peaks
+        errors.update(zip(live[bad].tolist(), errs))
         keep = ~bad
-        live = at = live[keep]
-        gens = [list(compress(g, keep)) for g in gens]
-        batches = [[a[keep] for a in arrays] for arrays in batches]
-        peaks = peaks[..., keep]
+        for q, g in enumerate(gens):
+            kept = keep[:len(g)]
+            gens[q] = list(compress(g, kept))
+            batches[q] = [a[kept] for a in batches[q]]
+        live, past, peaks = live[keep], past[..., keep], peaks[..., keep]
 
     def advance(q, advanced, k):
         batches[q] = list(advanced)
         bad = ~np.logical_and.reduce([np.isfinite(c).all(axis=(1, 2)) for c in advanced])
-        if bad.any():
-            drop(bad, overflow_error(model, level, len(advanced) == 2, p, k))
+        if bad.any():  # batch q holds the first live rows
+            bad = np.concatenate([bad, np.zeros(len(live) - len(bad), bool)])
+            coupled = len(advanced) == 2
+            drop(bad, [overflow_error(model, level, coupled, p, k) for p in failed(bad)])
 
-    for q, size in enumerate(schedule.batch_sizes(p)):
-        if len(live):
-            advance(q, start(gens[q], np.tile(x0, (len(live), size, 1))), 0)
+    for q, size in enumerate(schedule.batch_sizes(top)):
+        if gens[q]:
+            advance(q, start(q, gens[q], np.tile(x0, (len(gens[q]), size, 1))), 0)
     sides = len(batches[0])
-    num, den = np.zeros((2, n, sides, count, p + 1))
+    num, den = np.zeros((2, n, sides, count, top + 1))
     for k in range(n):
         if not len(live):
             break
-        for arrays in batches:  # log_g of each (R*N, d) view
-            arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
-                              for x in arrays[:sides]]
-        # each batch's per-row log-weight maxima, found once
-        peaks = np.array([[lw.max(axis=-1) for lw in arrays[sides:]] for arrays in batches])
+        peaks = np.full((top + 1, sides, len(live)), -np.inf)
+        for q, arrays in enumerate(batches):  # log_g of each (R*N, d) view
+            if gens[q]:
+                arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
+                                  for x in arrays[:sides]]
+                # the batch's per-row log-weight maxima, found once
+                peaks[q, :, :len(gens[q])] = [lw.max(axis=-1) for lw in arrays[sides:]]
         for side in range(sides):
             shift = _shared_scale(peaks[:, side])
             bad = ~np.isfinite(shift)
             if bad.any():
-                drop(bad, [_log_max_error(m, level.l, p, k) for m in shift[bad].tolist()])
+                drop(bad, [_log_max_error(m, level.l, p, k)
+                           for m, p in zip(shift[bad].tolist(), failed(bad))])
                 shift = shift[~bad]
-            clouds, logs = zip(*[arrays[side::sides] for arrays in batches])
-            num[k, side, at], den[k, side, at] = _batch_values(clouds, logs, bm.phi, shift)
+            for q, arrays in enumerate(batches):
+                if h := len(gens[q]):
+                    num[k, side, rows(h), q], den[k, side, rows(h), q] = _batch_values(
+                        arrays[side], arrays[sides + side], bm.phi, shift[:h])
         if k == n - 1:
             break
-        bad = ~np.isfinite(peaks).all(axis=(0, 1))  # a batch that cannot be resampled
+        # a batch of the row's own that cannot be resampled
+        bad = ~(np.isfinite(peaks) | past).all(axis=(0, 1))
         if bad.any():
             lost = "batch filter lost all weight"
-            drop(bad, DegenerateWeights(lost, level=level.l, p=p, time_index=k))
-        for q in range(p + 1):
-            if len(live):
-                advance(q, step(gens[q], *batches[q], *peaks[q]), k + 1)
+            drop(bad, [DegenerateWeights(lost, level=level.l, p=p, time_index=k)
+                       for p in failed(bad)])
+        for q in range(top + 1):
+            if h := len(gens[q]):
+                advance(q, step(q, gens[q], *batches[q], *peaks[q, :, :h]), k + 1)
     return num, den, errors
 
 
@@ -292,13 +312,15 @@ def combined_table(result, sizes, l):
     return np.stack(out, -1)
 
 
-def pf_rows(bm, data, schedule, p, level, streams, counter=None):
-    """run_batches of the level-l filter; counter counts one row's Euler steps."""
+def pf_rows(bm, data, schedule, ps, level, streams, counters=None):
+    """run_batches of the level-l filter; counters[q], if given, counts one
+    row's Euler steps in batch q."""
     model = bm.diffusion
     return run_batches(
-        bm, data, schedule, p, level, streams,
-        lambda gens, x: (transition(model, x, level, gens, counter),),
-        lambda gens, x, log_w, log_max: (pf_step(model, level, gens, x, log_w, counter, log_max),),
+        bm, data, schedule, ps, level, streams,
+        lambda q, gens, x: (transition(model, x, level, gens, counters and counters[q]),),
+        lambda q, gens, x, log_w, log_max: (
+            pf_step(model, level, gens, x, log_w, counters and counters[q], log_max),),
     )
 
 
@@ -314,5 +336,5 @@ def batch_pf_run(bm, data, schedule, p, level, stream, counter=None):
     after the last observation is skipped since nothing consumes it.
     """
     p = check_size_index(p)
-    result = pf_rows(bm, data, schedule, p, level, [stream], counter)
+    result = pf_rows(bm, data, schedule, p, level, [stream], [counter] * (p + 1))
     return combined_table(result, schedule.batch_sizes(p), level.l)[:, 0]

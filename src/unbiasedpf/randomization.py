@@ -18,6 +18,12 @@ finite). Single-randomization plans randomize the level only, with the
 whole doubling composition collapsed into each draw: their sample-size pmf
 at level l is the point mass at p = l, so a level-only draw is the cell
 (l, l), and `draw_xi` and `unbiased_estimate` run every plan.
+
+`unbiased_estimate` runs the draws of one level as stacked filters: a
+draw in cell (l, p) runs batches 0..p, and batch q has the same size
+whatever p is, so batch q of a chunk stacks its draws with p >= q. Each
+draw keeps its own streams and arithmetic and equals `draw_xi` on its
+stream, bit for bit.
 """
 
 import math
@@ -274,33 +280,50 @@ def _xi(plan, l, p, increment):
     return (increment(p) - prev) / plan.pmf_p(l).mass(p)
 
 
-def _run_cell(plan, bm, data, l, p, streams, scheme):
-    """Run cell (l, p)'s draws on `streams` as one stacked filter, row r
-    bit-identical to the draw on streams[r] alone. Returns (traces (R, n),
-    each row's Euler-step count, errors of the failed rows)."""
-    counter = CostCounter()
+def _runs(ps):
+    """The runs of equal p in non-increasing ps: a list of (p, slice)."""
+    cut = [0, *(np.flatnonzero(np.diff(ps)) + 1).tolist(), len(ps)]
+    return [(int(ps[a]), slice(a, b)) for a, b in zip(cut, cut[1:])]
+
+
+def _run_cell(plan, bm, data, l, ps, streams, scheme):
+    """Run level l's draws on `streams`, row r in cell (l, ps[r]) with ps
+    non-increasing, as one stacked filter, row r bit-identical to the draw
+    on streams[r] alone. Returns (traces (R, n), each row's Euler-step
+    count, errors of the failed rows)."""
+    ps = np.asarray(ps)
     sched, lvl = plan.schedule, Level(l)
+    # one counter per batch; a row's cost is the count of its own batches
+    counters = [CostCounter() for _ in range(int(ps[0]) + 1)]
     if plan.kind != "single":
         num, den, errors = (
-            pf_rows(bm, data, sched, p, lvl, streams, counter) if l == 0
-            else cpf_rows(bm, data, sched, p, lvl, streams, scheme, counter))
+            pf_rows(bm, data, sched, ps, lvl, streams, counters) if l == 0
+            else cpf_rows(bm, data, sched, ps, lvl, streams, scheme, counters))
+        traces = np.empty((len(streams), data.n))
+        for p, run in _runs(ps):  # Xi of each cell's rows, with their own errors
+            errs = {r - run.start: e for r, e in errors.items() if run.start <= r < run.stop}
 
-        def increment(q):
-            both = combined_rows(sched.batch_sizes(p), num, den, q, errors, l)
-            return both[:, :, 0] - (both[:, :, 1] if l else 0.0)
+            def increment(q):
+                both = combined_rows(sched.batch_sizes(p), num[:, :, run], den[:, :, run], q,
+                                     errs, l)
+                return both[:, :, 0] - (both[:, :, 1] if l else 0.0)
 
-        return _xi(plan, l, p, increment), counter.euler_steps, errors
-    first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
-    num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams], counter)
-    traces = combined_rows(first.batch_sizes(0), num, den, 0, errors, l)[:, :, 0]
-    if l:  # every row runs the coupled filter, and a failed row keeps its first error
-        sub = [s.child(1) for s in streams]
-        num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counter)
-        errors = {**errs, **errors}
-        both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errors, l)
-        a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
-        traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
-    return traces, counter.euler_steps, errors
+            traces[run] = _xi(plan, l, p, increment)
+            errors.update((r + run.start, e) for r, e in errs.items())
+    else:  # p = l: the first filter's one batch, then the coupled filter's l
+        first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
+        num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams],
+                                   counters[:1])
+        traces = combined_rows(first.batch_sizes(0), num, den, 0, errors, l)[:, :, 0]
+        if l:  # every row runs the coupled filter, and a failed row keeps its first error
+            sub = [s.child(1) for s in streams]
+            num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counters[1:])
+            errors = {**errs, **errors}
+            both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errors, l)
+            a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
+            traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
+    steps = np.cumsum([c.euler_steps for c in counters])
+    return traces, steps[ps], errors
 
 
 def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
@@ -328,10 +351,11 @@ def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):
     if plan.pmf_p(l).mass(p) <= 0.0:
         raise InvalidRate(f"index p={p} carries no mass at level {l}")
     check_scheme(scheme)
-    traces, cost, errors = _run_cell(plan, bm, data, l, p, [stream], scheme)
+    traces, costs, errors = _run_cell(plan, bm, data, l, [p], [stream], scheme)
     if errors:
         raise errors[0]
-    return XiSample(l, p, float(traces[0, -1]), float(plan.level_weight(l)), cost, traces[0])
+    return XiSample(l, p, float(traces[0, -1]), float(plan.level_weight(l)), int(costs[0]),
+                    traces[0])
 
 
 @dataclass(frozen=True)
@@ -410,31 +434,37 @@ _MAX_GENERATORS = 64
 _MAX_CHUNK_BLOCK = 24 * _MAX_BLOCK
 
 
-def _chunk_rows(l, p, schedule, d):
-    """How many draws of cell (l, p) one chunk stacks, for the plan's
-    schedule and d-dimensional states. A row's block is its largest
-    generator call, at its cell's largest batch; a level-only cell (l, l)
-    has no larger batch than schedule.batch_sizes(l)[-1] either."""
-    size = schedule.batch_sizes(p)[-1]
-    block = _step_groups(1 << l, size, d)[0] * size * d
-    return max(1, min(_MAX_GENERATORS // (p + 1), _MAX_CHUNK_BLOCK // block))
+def _levels(ls, ps):
+    """The draws grouped by level in level order: a list of (l, indices),
+    each level's draw indices by p descending, then ascending."""
+    order = np.lexsort((-ps, ls))  # stable: by l, then p descending, then draw index
+    cut = np.flatnonzero(np.diff(ls[order])) + 1
+    return [(int(ls[idx[0]]), idx) for idx in np.split(order, cut)]
 
 
-def _cells(ls, ps):
-    """The draws grouped by cell (l, p) in cell order: a list of (l, p,
-    indices), each cell's draw indices ascending."""
-    order = np.lexsort((ps, ls))  # stable: by l, then p, then draw index
-    cut = np.flatnonzero((np.diff(ls[order]) != 0) | (np.diff(ps[order]) != 0)) + 1
-    return [(int(ls[idx[0]]), int(ps[idx[0]]), idx) for idx in np.split(order, cut)]
-
-
-def _chunks(cells, schedule, d):
-    """Each cell of _cells cut into chunks of consecutive draw indices: a
-    list of (l, p, indices)."""
+def _chunks(levels, ps, schedule, d):
+    """Each level of _levels cut into chunks of consecutive rows: a list of
+    (l, indices). A chunk takes rows while their live batch generators,
+    sum(p + 1), stay within _MAX_GENERATORS and their largest generator
+    calls within _MAX_CHUNK_BLOCK doubles; a row over a bound alone is a
+    chunk of its own. A row's block is its largest generator call, at its
+    largest batch; a level-only draw (l, l) has no larger batch than
+    schedule.batch_sizes(l)[-1] either."""
     chunks = []
-    for l, p, idx in cells:
-        rows = _chunk_rows(l, p, schedule, d)
-        chunks += [(l, p, idx[i:i + rows]) for i in range(0, len(idx), rows)]
+    for l, idx in levels:
+        row_ps = ps[idx].tolist()
+        loads = {}  # p: (generators, block) of one row
+        for p in set(row_ps):
+            size = schedule.batch_sizes(p)[-1]
+            loads[p] = p + 1, _step_groups(1 << l, size, d)[0] * size * d
+        first, gens, block = 0, 0, 0
+        for i, p in enumerate(row_ps):
+            g, b = loads[p]
+            if i > first and (gens + g > _MAX_GENERATORS or block + b > _MAX_CHUNK_BLOCK):
+                chunks.append((l, idx[first:i]))
+                first, gens, block = i, 0, 0
+            gens, block = gens + g, block + b
+        chunks.append((l, idx[first:]))
     return chunks
 
 
@@ -460,28 +490,29 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
     root = RngStream(seed)
     plan_gen = root.child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, plan_gen, m)
-    cells = _cells(ls, ps)
+    cell_costs = {(l, p): _draw_cost(plan, l, p, data.n)
+                  for l, p in set(zip(ls.tolist(), ps.tolist()))}
 
     if cost_budget is not None:
-        worst = max(_draw_cost(plan, l, p, data.n) for l, p, _ in cells)
+        worst = max(cell_costs.values())
         if worst > cost_budget:
             raise CostBudgetExceeded(
                 f"a sampled draw needs {worst} Euler steps, over the budget of {cost_budget}"
             )
 
     role = ROLE_SINGLE if plan.kind == "single" else ROLE_FILTER
-    chunks = _chunks(cells, plan.schedule, bm.diffusion.dim)
+    chunks = _chunks(_levels(ls, ps), ps, plan.schedule, bm.diffusion.dim)
 
     def work(c):
         # the chunk's traces, costs and retries, and each failed draw's final
         # error; failed draws retry together on their keyed retry streams
-        l, p, idx = chunks[c]
+        l, idx = chunks[c]
         traces, costs = np.empty((len(idx), data.n)), np.empty(len(idx), dtype=np.int64)
         retries, rows = np.zeros(len(idx), dtype=np.int64), np.arange(len(idx))
         streams = [root.child(int(i) + 1, role) for i in idx]
         for attempt in range(_MAX_RETRIES + 1):
             traces[rows], costs[rows], errors = _run_cell(
-                plan, bm, data, l, p, streams, scheme)
+                plan, bm, data, l, ps[idx[rows]], streams, scheme)
             retries[rows] = attempt
             failed = {int(rows[j]): err for j, err in errors.items()}
             if not errors or mode == "strict":
@@ -492,8 +523,8 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
 
     traces, costs = np.empty((m, data.n)), np.empty(m, dtype=np.int64)
     retries, failed = np.empty(m, dtype=np.int64), {}
-    chunk_costs = [len(idx) * _draw_cost(plan, l, p, data.n) for l, p, idx in chunks]
-    for (_, _, idx), out in zip(chunks, parallel_for(work, len(chunks), threads, chunk_costs)):
+    chunk_costs = [sum(cell_costs[l, p] for p in ps[idx].tolist()) for l, idx in chunks]
+    for (_, idx), out in zip(chunks, parallel_for(work, len(chunks), threads, chunk_costs)):
         traces[idx], costs[idx], retries[idx], errors = out
         failed.update((int(idx[j]), err) for j, err in errors.items())
     if failed:  # the error of the lowest failing draw index
@@ -518,8 +549,9 @@ def randomized_table_mean(plan, table, m, seed):
     gen = RngStream(seed).child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, gen, m)
     traces = np.empty((m, 1))
-    for l, p, idx in _cells(ls, ps):
-        traces[idx] = _xi(plan, l, p, lambda q: table[l, q])
+    for l, idx in _levels(ls, ps):
+        for p, run in _runs(ps[idx]):
+            traces[idx[run]] = _xi(plan, l, p, lambda q: table[l, q])
     zeros = np.zeros(m, dtype=np.int64)
     est = _reduce_draws(plan, ls, ps, traces, zeros, zeros)
     return est.value, est.stderr

@@ -20,7 +20,7 @@ from unbiasedpf.cli import (
     run_experiment,
     write_config,
 )
-from unbiasedpf.errors import ConfigError, NonOverlappingRange
+from unbiasedpf.errors import ConfigError, InvalidRate, NonOverlappingRange
 from unbiasedpf.mlpf import allocate, mlpf_cost
 from unbiasedpf.observation import _read_csv, _write_csv, read_dataset
 
@@ -696,6 +696,24 @@ def test_non_finite_c1_is_a_configuration_error(tmp_path, capsys, c1):
                  "--c1", c1, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert "configuration error" in err and "c1" in err
+    assert not out.exists()
+
+
+def test_fractional_gen_level_is_a_configuration_error(tmp_path, capsys):
+    out = tmp_path / "gen"
+    assert main(["generate", "--model", "NLD", "--n", "3", "--gen-level", "2.5",
+                 "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "--gen-level" in err and "2.5" in err
+    assert not out.exists()
+
+
+def test_fractional_mlpf_level_is_rejected_before_any_output(tmp_path):
+    data = _generate(tmp_path)
+    out = tmp_path / "mlpf"
+    cfg = ExperimentConfig(mode="run-mlpf", data=data, levels=(1.5,), repeats=2, out=str(out))
+    with pytest.raises(InvalidRate, match="1.5"):
+        run_experiment(cfg)
     assert not out.exists()
 
 

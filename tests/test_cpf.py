@@ -324,7 +324,7 @@ def test_increment_hand_values():
 def test_increment_vanishes_on_identical_clouds(ou):
     pos = np.linspace(-1, 1, 40).reshape(1, 40, 1)
     lg = ou.observation.log_g(pos[0], 0.3)[None]
-    num, den = zip(*(_batch_values([x], [lg], ou.phi, _shared_scale([lg.max(axis=-1)]))
+    num, den = zip(*(_batch_values(x, lg, ou.phi, _shared_scale([lg.max(axis=-1)]))
                      for x in (pos, pos.copy())))
     fine, coarse = _fine_coarse([40], num, den, 0)
     assert fine - coarse == 0.0

@@ -20,7 +20,7 @@ from unbiasedpf import (
     RngStream,
 )
 from unbiasedpf import observation
-from unbiasedpf.errors import ExactUnavailable, ModelMismatch, UnknownModel
+from unbiasedpf.errors import ExactUnavailable, InvalidLevel, ModelMismatch, UnknownModel
 
 from _oracles import GridFilter, StubGen, linear_gaussian_filter, ou_exact_coeffs
 
@@ -175,6 +175,13 @@ def test_generate_data_euler_level_recorded(nld):
         generate_data(nld, 3, level="exact", seed=2)
     with pytest.raises(ValueError):
         generate_data(nld, 0, level=7)
+
+
+def test_generate_data_rejects_fractional_levels(nld):
+    # a level is a whole number: 2.5 is rejected, not run as level 2
+    for level in (2.5, np.float64(2.5), -1):
+        with pytest.raises(InvalidLevel):
+            generate_data(nld, 3, level=level, seed=2)
 
 
 def test_generate_data_zero_noise_path(ou, monkeypatch):

@@ -154,7 +154,7 @@ def _one_batch(x, log_g, phi):
     shift = _shared_scale([lg.max(axis=-1)])
     if not np.isfinite(shift).all():
         raise _log_max_error(float(shift[0]))
-    num, den = _batch_values([x], [lg], phi, shift)
+    num, den = _batch_values(x, lg, phi, shift)
     value, errors = _combined([len(lg[0])], num, den, 0)
     if errors:
         raise errors[0]

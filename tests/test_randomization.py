@@ -424,9 +424,10 @@ def test_draws_equal_recorded_values(ou, ou_data, nld, nld_data):
 @pytest.mark.parametrize("model", ["OU", "NLD"])
 def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, model):
     # each stacked row must be its draw run alone, for any chunk size;
-    # 80 rows stack every draw of a cell at once
+    # 80 rows stack every draw of a level at once
     if rows is not None:
-        monkeypatch.setattr(randomization, "_chunk_rows", lambda *args: rows)
+        monkeypatch.setattr(randomization, "_chunks", lambda levels, *args: [
+            (l, idx[i:i + rows]) for l, idx in levels for i in range(0, len(idx), rows)])
     bm = make_benchmark(model)
     data = DataSet(y=ou_data_n3.y, model=model)
     root = RngStream(8)
@@ -453,7 +454,8 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
         nld, one = _log_link_nld(), DataSet(y=[0.0], model="NLD")
         single = make_single_rand_plan(2, 1)
         streams = [RngStream(2).child(i + 1, ROLE_SINGLE) for i in range(12)]
-        traces, _, errors = randomization._run_cell(single, nld, one, 2, 2, streams, scheme)
+        traces, _, errors = randomization._run_cell(single, nld, one, 2, [2] * 12, streams,
+                                                    scheme)
         outcomes = set()
         for r, stream in enumerate(streams):
             first = _error_of(batch_pf_run, nld, one, BatchSchedule(2), 0, Level(2),
@@ -470,35 +472,50 @@ def test_stacked_cells_equal_one_draw_at_a_time(ou_data_n3, monkeypatch, rows, m
         assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
+def _chunks_of(ls, ps, n0, d):
+    return randomization._chunks(randomization._levels(ls, ps), ps, BatchSchedule(n0), d)
+
+
 def test_chunks_bound_their_generators_and_increment_blocks():
-    # the chunk sizes of OU (n0 = 10) and NLD (n0 = 50) plans: at most 64
-    # live batch generators, and at most 24 * _MAX_BLOCK doubles in the
-    # rows' largest generator calls, unless one row alone is over a bound;
-    # and no more rows could be added without going over one
+    # the level chunks of OU (n0 = 10) and NLD (n0 = 50) plans, on every
+    # cell with l + p <= 10, 70 draws each, in a shuffled order: each
+    # chunk holds one level's draws by p descending, then by draw index;
+    # at most 64 live batch generators, and at most 24 * _MAX_BLOCK doubles
+    # in the rows' largest generator calls, unless one row alone is over a
+    # bound; and it could not take the level's next row without going over
+    cells = np.array([(l, p) for l in range(11) for p in range(11 - l)] * 70)
+    ls, ps = np.random.default_rng(3).permutation(cells).T
     for n0 in (10, 50):
         sched = BatchSchedule(n0)
         for d in (1, 3):
-            for l in range(11):
-                for p in range(11 - l):
-                    block = max(max(_step_groups(2 ** l, n, d)) * n * d
-                                for n in sched.batch_sizes(p))
-                    rows = randomization._chunk_rows(l, p, sched, d)
+            chunks = _chunks_of(ls, ps, n0, d)
+            order = np.concatenate([idx for _, idx in chunks])
+            assert order.tolist() == np.lexsort((np.arange(len(ls)), -ps, ls)).tolist()
 
-                    def fits(r):
-                        return r * (p + 1) <= 64 and r * block <= 24 * _MAX_BLOCK
+            def load(idx, l):
+                gens = sum(int(p) + 1 for p in ps[idx])
+                block = sum(max(max(_step_groups(2 ** l, n, d)) * n * d
+                                for n in sched.batch_sizes(int(p))) for p in ps[idx])
+                return gens <= 64 and block <= 24 * _MAX_BLOCK
 
-                    assert fits(rows) or rows == 1
-                    assert not fits(rows + 1)
-    # ou-rand's cells (make_truncated_plan(6, 10), OU): the generator
-    # bound holds at every level
+            for (l, idx), (next_l, next_idx) in zip(chunks, chunks[1:] + [(None, None)]):
+                assert (ls[idx] == l).all() and (np.diff(ps[idx]) <= 0).all()
+                assert load(idx, l) or len(idx) == 1
+                if next_l == l:
+                    assert not load(np.append(idx, next_idx[0]), l)
+    # a level of one p is cut as its cells were: ou-rand's
+    # (make_truncated_plan(6, 10), OU) by the generator bound at every level
+    def first_chunk(l, p, n0, d):
+        return len(_chunks_of(np.full(100, l), np.full(100, p), n0, d)[0][1])
+
     for l in range(7):
-        got = [randomization._chunk_rows(l, p, BatchSchedule(10), 1) for p in range(7 - l)]
+        got = [first_chunk(l, p, 10, 1) for p in range(7 - l)]
         assert got == [64, 32, 21, 16, 12, 10, 9][:7 - l]
     # NLD (n0 = 50): a level-10 row of 50 particles draws 654 steps per
     # call, 32700 doubles, so 24 rows fill the block bound, also at p = 1
     # and for 3-d states (218 steps of 150 doubles); at level 8 a row
     # draws 256 steps, 12800 doubles, and 61 rows fit; at level 7, 64
-    assert [randomization._chunk_rows(l, p, BatchSchedule(50), d)
+    assert [first_chunk(l, p, 50, d)
             for l, p, d in ((10, 0, 1), (10, 1, 1), (10, 0, 3), (8, 0, 1), (7, 0, 1))] == [
         24, 24, 24, 61, 64]
 
@@ -562,23 +579,92 @@ def test_strict_mode_raises_the_lowest_failing_draw_across_cells(y, seed, messag
             want.level, want.p, want.time_index)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_permissive_retries_equal_a_per_draw_loop():
-    nld, data, plan = _log_link_case([0.0])
-    root = RngStream(1)
-    est = unbiased_estimate(plan, nld, data, 10, seed=1, mode="permissive")
-    samples, retries = [], 0
-    for i, (l, p) in enumerate(zip(est.draws["l"].tolist(), est.draws["p"].tolist())):
+def _per_draw_loop(plan, bm, data, est_draws, seed, scheme="wasserstein"):
+    # each draw of est_draws = (ls, ps) run alone on its stream, and then on
+    # its retry streams until it succeeds: the samples, the total retry
+    # count and the last error of each draw that never succeeds
+    root = RngStream(seed)
+    samples, retries, failed = [], 0, {}
+    for i, (l, p) in enumerate(zip(*(x.tolist() for x in est_draws))):
         stream = root.child(i + 1, ROLE_FILTER)
         for attempt in range(_MAX_RETRIES + 1):
             try:
-                samples.append(draw_xi(plan, nld, data, l, p, stream))
+                samples.append(draw_xi(plan, bm, data, l, p, stream, scheme))
                 break
-            except (DegenerateWeights, NumericalOverflow):
+            except (DegenerateWeights, NumericalOverflow) as err:
+                failed[i] = err
                 stream = root.child(i + 1, ROLE_RETRY, attempt + 1)
+        else:
+            continue
+        failed.pop(i, None)
         retries += attempt
+    return samples, retries, failed
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_permissive_retries_equal_a_per_draw_loop():
+    nld, data, plan = _log_link_case([0.0])
+    est = unbiased_estimate(plan, nld, data, 10, seed=1, mode="permissive")
+    samples, retries, _ = _per_draw_loop(plan, nld, data, (est.draws["l"], est.draws["p"]), 1)
     assert retries > 10
     _assert_same_draws(est, samples, retries)
     assert len(set(zip(est.draws["l"].tolist(), est.draws["p"].tolist()))) == 3
     two = unbiased_estimate(plan, nld, data, 10, seed=1, mode="permissive", threads=2)
     assert np.array_equal(two.per_time, est.per_time) and two.retries == est.retries
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_mixed_p_stacks_equal_draws_run_alone(scheme):
+    # a level's rows with p = 2, 1 and 0 run as one stack, and the rows fail
+    # at several p and k: each success is its draw run alone, bit for bit,
+    # and each failure has the message its draw raises alone
+    nld, data, _ = _log_link_case([0.5, 0.5, 0.5])
+    plan = make_truncated_plan(2, 1)
+    root, outcomes = RngStream(6), set()
+    for l, ps in ((0, [2] * 12 + [1] * 12 + [0] * 12), (1, [1] * 18 + [0] * 18)):
+        streams = [root.child(i + 1, ROLE_FILTER) for i in range(len(ps))]
+        traces, costs, errors = randomization._run_cell(plan, nld, data, l, ps, streams, scheme)
+        for r, (p, stream) in enumerate(zip(ps, streams)):
+            alone = _error_of(draw_xi, plan, nld, data, l, p, stream, scheme)
+            if alone is None:
+                sample = draw_xi(plan, nld, data, l, p, stream, scheme)
+                assert r not in errors
+                assert traces[r].tolist() == sample.trace.tolist() and costs[r] == sample.cost
+                outcomes.add((l, p, None))
+            else:
+                assert str(errors[r]) == str(alone)
+                outcomes.add((l, p, alone.time_index))
+    assert {(0, 0, None), (0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 2, 0),
+            (1, 0, None), (1, 0, 1), (1, 0, 2), (1, 1, None), (1, 1, 0)} <= outcomes
+
+    # the estimator stacks level 0's draws of p = 2, 1 and 0 in one chunk.
+    # With one observation, seed 6's permissive run succeeds: its draws,
+    # p = 2 among them, retry together with their own p. Seed 1's has a
+    # draw that fails every attempt, and raises that draw's last error;
+    # a strict run raises the lowest failing draw's own error.
+    nld, data, _ = _log_link_case([0.0])
+    for seed in (6, 1):
+        ls, ps = _sample_indices(plan, RngStream(seed).child(0, ROLE_PLAN).gen, 40)
+        assert any(set(ps[idx].tolist()) == {0, 1, 2} for _, idx in _chunks_of(ls, ps, 1, 1))
+        samples, retries, failed = _per_draw_loop(plan, nld, data, (ls, ps), seed, scheme)
+        root = RngStream(seed)
+        first = next(i for i, (l, p) in enumerate(zip(ls.tolist(), ps.tolist()))
+                     if _error_of(draw_xi, plan, nld, data, l, p, root.child(i + 1, ROLE_FILTER),
+                                  scheme))
+        strict = _error_of(draw_xi, plan, nld, data, int(ls[first]), int(ps[first]),
+                           root.child(first + 1, ROLE_FILTER), scheme)
+        for threads in (1, 2):
+            with pytest.raises(type(strict)) as info:
+                unbiased_estimate(plan, nld, data, 40, seed=seed, threads=threads, scheme=scheme)
+            assert str(info.value) == str(strict)
+            if seed == 6:
+                est = unbiased_estimate(plan, nld, data, 40, seed=seed, threads=threads,
+                                        scheme=scheme, mode="permissive")
+                assert not failed and {s.p for s in samples if s.l == 0} == {0, 1, 2}
+                _assert_same_draws(est, samples, retries)
+            else:
+                with pytest.raises(type(failed[min(failed)])) as info:
+                    unbiased_estimate(plan, nld, data, 40, seed=seed, threads=threads,
+                                      scheme=scheme, mode="permissive")
+                assert str(info.value) == str(failed[min(failed)])
