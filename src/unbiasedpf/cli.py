@@ -800,7 +800,12 @@ def main(argv=None):
     config_path = ns.pop("config")
     try:
         file_cfg = read_config(config_path) if config_path else None
-        artifacts = run_experiment(_merged(file_cfg, ExperimentConfig(**ns)))
+        cfg = _merged(file_cfg, ExperimentConfig(**ns))
+        plan = "unbounded" if cfg.get("unbounded") else "truncated"
+        for name in ("lmax",) if plan == "unbounded" else ("beta", "rho"):
+            if ns.get(name) is not None:  # a config file's key is echoed instead
+                raise ConfigError(f"the {plan} plan does not read --{name}")
+        artifacts = run_experiment(cfg)
     except _NUMERICAL_ERRORS as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 2

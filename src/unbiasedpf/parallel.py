@@ -19,6 +19,7 @@ runs its exit handlers.
 import numbers
 import os
 import pickle
+import select
 import signal
 import sys
 
@@ -56,25 +57,42 @@ def parallel_for(work, count, threads, costs=None):
     order = sorted(range(count), key=lambda i: 0 if costs is None else costs[i], reverse=True)
     # The counter is the one 8-byte message in a pipe (atomic, as it is under
     # PIPE_BUF): a worker claims a position by reading it and writing it + 1.
+    # A child killed between the two takes the counter with it, so a worker
+    # waits for it in select, and the caller checks on its children every
+    # 0.1 s of waiting; a healthy worker holds the counter for microseconds.
     counter_r, counter_w = os.pipe()
+    os.set_blocking(counter_r, False)
     os.write(counter_w, bytes(8))
+    children = []  # (pid, read end) of every child not yet reaped
 
     def claim():
-        pos = int.from_bytes(os.read(counter_r, 8), "little")
-        os.write(counter_w, (pos + 1).to_bytes(8, "little"))
-        return pos
+        while True:
+            try:
+                pos = int.from_bytes(os.read(counter_r, 8), "little")
+                os.write(counter_w, (pos + 1).to_bytes(8, "little"))
+                return pos
+            except BlockingIOError:  # another worker holds the counter
+                wait(counter_r)
+
+    def wait(fd):  # until fd is readable, or a child has ended without reporting
+        while not select.select([fd], [], [], 0.1)[0]:
+            for pid, _ in children:
+                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
+                if code := info and (info.si_status if info.si_code == os.CLD_EXITED
+                                     else -info.si_status):
+                    raise _unreported(pid, code)
 
     # A child inherits unflushed stdio buffers; a warning it prints would
     # flush the parent's pending text a second time.
     sys.stdout.flush()
     sys.stderr.flush()
-    children = []  # (pid, read end) of every child not yet reaped
     try:
         for _ in range(workers - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
                 if pid == 0:
+                    children.clear()  # a child waits only on the counter
                     _child(work, order, claim, w)
             except BaseException:
                 os.close(r)
@@ -85,13 +103,13 @@ def parallel_for(work, count, threads, costs=None):
         done, failed = _run(work, order, claim)
         while children:
             pid, fh = children[0]
+            wait(fh)  # it may be claiming from a counter that a dead child took
             payload = fh.read()
             fh.close()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             children.pop(0)
             if code != 0:
-                raise ChildProcessError(f"worker process {pid} ended with exit code {code}"
-                                        " without reporting")
+                raise _unreported(pid, code)
             part, err = pickle.loads(payload)
             done.update(part)
             if err is not None and (failed is None or err[0] < failed[0]):
@@ -106,6 +124,10 @@ def parallel_for(work, count, threads, costs=None):
             os.waitpid(pid, 0)
         os.close(counter_r)
         os.close(counter_w)
+
+
+def _unreported(pid, code):
+    return ChildProcessError(f"worker process {pid} ended with exit code {code} without reporting")
 
 
 def _run(work, order, claim):

@@ -16,16 +16,17 @@ One per-time loop, run_batches, serves this filter and the coupled one of
 cpf and runs R independent filters as stacked rows, row r through its own
 batches 0..p_r: batch q is a tuple of (R_q, N_q, d) arrays, one cloud here
 and a fine/coarse pair there, stacking the rows whose p_r >= q. Each row
-is bit-identical to its one-row run (batch_pf_run is that call). Every
-size-weighted combination, for a stack or one row, is combined_rows; the
-one-row calls return its values as a plain (n, p+1) array. The filter
-step and the resampling helpers take stacks only, one generator per row;
-multinomial_indices with one generator is the checked one-row call.
+is bit-identical to its one-row run (batch_pf_run is that call). A run
+raises its first failure; randomization reruns a failed stack's rows one
+at a time. Every size-weighted combination, for a stack or one row, is
+combined_rows, which raises on zero mass; the one-row calls return its
+values as a plain (n, p+1) array. The filter step and the resampling
+helpers take stacks only, one generator per row; multinomial_indices
+with one generator is the checked one-row call.
 """
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 
@@ -60,10 +61,7 @@ def normalized_weights(log_w, log_max=None):
     if not np.isfinite(m).all():
         raise _log_max_error(float(m[~np.isfinite(m)][0]))
     w = np.exp(lw - m)
-    s = w.sum(axis=-1, keepdims=True)
-    if not 0.0 < s.min() < math.inf:
-        raise DegenerateWeights("weight normalization failed")
-    return w / s
+    return w / w.sum(axis=-1, keepdims=True)
 
 
 def _check_simplex(w, what):
@@ -157,11 +155,11 @@ def pf_step(model, level, gens, x, log_w, counter=None, log_max=None):
     return transition(model, gather(x, idx), level, gens, counter)
 
 
-def combined_rows(sizes, num, den, q, errors, l):
+def combined_rows(sizes, num, den, q, l):
     """The size-weighted ratio through batch q, sum_j N_j num_j / sum_j N_j den_j
     for j <= q, shape (R, n, sides), of run_batches' (n, sides, R, p+1) batch
-    values at level l. A row with zero combined mass, unless already in
-    `errors`, gets the DegenerateWeights of its first such time there."""
+    values at level l. Raises the DegenerateWeights of the first row with
+    zero combined mass, at its first such time."""
     s = np.asarray(sizes[: q + 1], dtype=float)
 
     def dots(x):
@@ -173,12 +171,10 @@ def combined_rows(sizes, num, den, q, errors, l):
         return np.fromiter((np.dot(s, v) for v in rows), float, len(rows)).reshape(x.shape[:-1])
 
     total = dots(den)
-    good = (0.0 < total) & (total < math.inf)
-    out = np.divide(dots(num), total, out=np.zeros(total.shape), where=good)
-    for r in np.flatnonzero(~good.all(axis=(1, 2))).tolist():
-        k = int(np.argwhere(~good[r])[0, 0])
-        errors.setdefault(r, DegenerateWeights(_ZERO_MASS, level=l, p=q, time_index=k))
-    return out
+    bad = ~((0.0 < total) & (total < math.inf))
+    if bad.any():
+        raise DegenerateWeights(_ZERO_MASS, level=l, p=q, time_index=int(np.argwhere(bad)[0, 1]))
+    return dots(num) / total
 
 
 def _shared_scale(maxima):
@@ -212,86 +208,59 @@ def run_batches(bm, data, schedule, ps, level, streams, start, step):
     bm.phi and, but after the last time, step(q, gens, *clouds,
     *log_weights, *maxima) resamples and propagates batch q, maxima being
     each side's (R_q,) log-weight maxima, all finite. A row's scale is the
-    largest log-weight of its own batches. A failing row leaves every
-    batch; errors[row] is the error its run alone raises there, with l,
-    its p and the time k of the failed weights or overflowed states.
-    Returns (num, den, errors), num and den (n, sides, R, max(ps)+1); a
-    failed row's entries, and a row's entries past its p, are meaningless.
+    largest log-weight of its own batches. Returns (num, den), each (n,
+    sides, R, max(ps)+1); a row's entries past its p are meaningless. The
+    first failure raises, with l, the failing row's p and the time k of the
+    failed weights or overflowed states, in the order a one-row run checks:
+    the start's overflow batch by batch, then at each time side 0's scale,
+    side 1's, a batch of a row's own that lost all weight, and each batch's
+    step and its overflow.
     """
     obs, model = bm.observation, bm.diffusion
     x0 = np.asarray(model.initial_state, dtype=float)
     n, count, d = data.n, len(streams), model.dim
     ps = np.full(count, ps) if np.ndim(ps) == 0 else np.asarray(ps)
     top = int(ps[0])
-    # batch q's generators and row-stacked arrays, of the live rows with p >= q
+    # batch q's generators, of the rows with p >= q, a prefix of the rows
     gens = [[s.child(q).gen for s in streams[:np.count_nonzero(ps >= q)]] for q in range(top + 1)]
-    batches = [[] for _ in range(top + 1)]
-    live, errors = np.arange(count), {}
     past = np.arange(top + 1)[:, None, None] > ps  # (p+1, 1, R): padding past a row's p
-    peaks = np.empty((top + 1, 0, count))  # per-row log-weight maxima, -inf past a row's p
 
-    def rows(h):  # where the first h live rows write
-        return slice(h) if len(live) == count else live[:h]
-
-    def failed(bad):  # the p of each live row that fails
-        return ps[live[bad]].tolist()
-
-    def drop(bad, errs):
-        nonlocal live, past, peaks
-        errors.update(zip(live[bad].tolist(), errs))
-        keep = ~bad
-        for q, g in enumerate(gens):
-            kept = keep[:len(g)]
-            gens[q] = list(compress(g, kept))
-            batches[q] = [a[kept] for a in batches[q]]
-        live, past, peaks = live[keep], past[..., keep], peaks[..., keep]
-
-    def advance(q, advanced, k):
-        batches[q] = list(advanced)
+    def checked(advanced, k):  # a batch's clouds as a list, or the first overflowed row's error
         bad = ~np.logical_and.reduce([np.isfinite(c).all(axis=(1, 2)) for c in advanced])
-        if bad.any():  # batch q holds the first live rows
-            bad = np.concatenate([bad, np.zeros(len(live) - len(bad), bool)])
-            coupled = len(advanced) == 2
-            drop(bad, [overflow_error(model, level, coupled, p, k) for p in failed(bad)])
+        if bad.any():
+            raise overflow_error(model, level, len(advanced) == 2, int(ps[bad.argmax()]), k)
+        return list(advanced)
 
-    for q, size in enumerate(schedule.batch_sizes(top)):
-        if gens[q]:
-            advance(q, start(q, gens[q], np.tile(x0, (len(gens[q]), size, 1))), 0)
+    batches = [checked(start(q, g, np.tile(x0, (len(g), size, 1))), 0)
+               for q, (g, size) in enumerate(zip(gens, schedule.batch_sizes(top)))]
     sides = len(batches[0])
     num, den = np.zeros((2, n, sides, count, top + 1))
+    peaks = np.full((top + 1, sides, count), -np.inf)  # per-row log-weight maxima, -inf past p
     for k in range(n):
-        if not len(live):
-            break
-        peaks = np.full((top + 1, sides, len(live)), -np.inf)
         for q, arrays in enumerate(batches):  # log_g of each (R*N, d) view
-            if gens[q]:
-                arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
-                                  for x in arrays[:sides]]
-                # the batch's per-row log-weight maxima, found once
-                peaks[q, :, :len(gens[q])] = [lw.max(axis=-1) for lw in arrays[sides:]]
+            arrays[sides:] = [obs.log_g(x.reshape(-1, d), data.y[k]).reshape(x.shape[:-1])
+                              for x in arrays[:sides]]
+            # the batch's per-row log-weight maxima, found once
+            peaks[q, :, :len(gens[q])] = [lw.max(axis=-1) for lw in arrays[sides:]]
         for side in range(sides):
             shift = _shared_scale(peaks[:, side])
-            bad = ~np.isfinite(shift)
-            if bad.any():
-                drop(bad, [_log_max_error(m, level.l, p, k)
-                           for m, p in zip(shift[bad].tolist(), failed(bad))])
-                shift = shift[~bad]
+            if not np.isfinite(shift).all():  # the first row whose scale is not finite
+                r = int(np.isfinite(shift).argmin())
+                raise _log_max_error(float(shift[r]), level.l, int(ps[r]), k)
             for q, arrays in enumerate(batches):
-                if h := len(gens[q]):
-                    num[k, side, rows(h), q], den[k, side, rows(h), q] = _batch_values(
-                        arrays[side], arrays[sides + side], bm.phi, shift[:h])
+                h = len(gens[q])
+                num[k, side, :h, q], den[k, side, :h, q] = _batch_values(
+                    arrays[side], arrays[sides + side], bm.phi, shift[:h])
         if k == n - 1:
             break
         # a batch of the row's own that cannot be resampled
         bad = ~(np.isfinite(peaks) | past).all(axis=(0, 1))
         if bad.any():
-            lost = "batch filter lost all weight"
-            drop(bad, [DegenerateWeights(lost, level=level.l, p=p, time_index=k)
-                       for p in failed(bad)])
-        for q in range(top + 1):
-            if h := len(gens[q]):
-                advance(q, step(q, gens[q], *batches[q], *peaks[q, :, :h]), k + 1)
-    return num, den, errors
+            raise DegenerateWeights("batch filter lost all weight", level=level.l,
+                                    p=int(ps[bad.argmax()]), time_index=k)
+        for q, g in enumerate(gens):
+            batches[q] = checked(step(q, g, *batches[q], *peaks[q, :, :len(g)]), k + 1)
+    return num, den
 
 
 def check_size_index(p):
@@ -303,13 +272,9 @@ def check_size_index(p):
 
 def combined_table(result, sizes, l):
     """combined_rows of a one-row level-l run_batches result for every q,
-    shape (n, sides, p+1). Raises the row's error, or else the zero-mass
-    error of the lowest such q."""
-    num, den, errors = result
-    out = [combined_rows(sizes, num, den, q, errors, l)[0] for q in range(len(sizes))]
-    if errors:
-        raise errors[0]
-    return np.stack(out, -1)
+    shape (n, sides, p+1). Raises the zero-mass error of the lowest such q."""
+    num, den = result
+    return np.stack([combined_rows(sizes, num, den, q, l)[0] for q in range(len(sizes))], -1)
 
 
 def pf_rows(bm, data, schedule, ps, level, streams, counters=None):

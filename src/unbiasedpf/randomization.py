@@ -23,7 +23,8 @@ at level l is the point mass at p = l, so a level-only draw is the cell
 draw in cell (l, p) runs batches 0..p, and batch q has the same size
 whatever p is, so batch q of a chunk stacks its draws with p >= q. Each
 draw keeps its own streams and arithmetic and equals `draw_xi` on its
-stream, bit for bit.
+stream, bit for bit. A stack that fails reruns each of its draws alone,
+so a failed draw raises the error its `draw_xi` raises.
 """
 
 import math
@@ -32,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .costs import cost_of_draw, single_rand_draw_cost
-from .errors import CostBudgetExceeded, InvalidRate, whole_number
+from .errors import (CostBudgetExceeded, DegenerateWeights, InvalidRate, NumericalOverflow,
+                     whole_number)
 from .pf import BatchSchedule, combined_rows, pf_rows
 from .cpf import check_scheme, cpf_rows
 from .parallel import check_threads, parallel_for
@@ -288,42 +290,47 @@ def _runs(ps):
 
 def _run_cell(plan, bm, data, l, ps, streams, scheme):
     """Run level l's draws on `streams`, row r in cell (l, ps[r]) with ps
-    non-increasing, as one stacked filter, row r bit-identical to the draw
-    on streams[r] alone. Returns (traces (R, n), each row's Euler-step
-    count, errors of the failed rows)."""
+    non-increasing, as one stacked filter. If the stack fails, each row
+    reruns alone, so every row is the draw on streams[r] run alone, bit
+    for bit, its failure included. Returns (traces (R, n), each row's
+    Euler-step count, {row: error} of the failed rows, without tracebacks);
+    a failed row's trace and count are meaningless."""
     ps = np.asarray(ps)
     sched, lvl = plan.schedule, Level(l)
     # one counter per batch; a row's cost is the count of its own batches
     counters = [CostCounter() for _ in range(int(ps[0]) + 1)]
-    if plan.kind != "single":
-        num, den, errors = (
-            pf_rows(bm, data, sched, ps, lvl, streams, counters) if l == 0
-            else cpf_rows(bm, data, sched, ps, lvl, streams, scheme, counters))
-        traces = np.empty((len(streams), data.n))
-        for p, run in _runs(ps):  # Xi of each cell's rows, with their own errors
-            errs = {r - run.start: e for r, e in errors.items() if run.start <= r < run.stop}
+    try:
+        if plan.kind != "single":
+            num, den = (pf_rows(bm, data, sched, ps, lvl, streams, counters) if l == 0
+                        else cpf_rows(bm, data, sched, ps, lvl, streams, scheme, counters))
+            traces = np.empty((len(streams), data.n))
+            for p, run in _runs(ps):  # Xi of each run of equal p
 
-            def increment(q):
-                both = combined_rows(sched.batch_sizes(p), num[:, :, run], den[:, :, run], q,
-                                     errs, l)
-                return both[:, :, 0] - (both[:, :, 1] if l else 0.0)
+                def increment(q):
+                    both = combined_rows(sched.batch_sizes(p), num[:, :, run], den[:, :, run],
+                                         q, l)
+                    return both[:, :, 0] - (both[:, :, 1] if l else 0.0)
 
-            traces[run] = _xi(plan, l, p, increment)
-            errors.update((r + run.start, e) for r, e in errs.items())
-    else:  # p = l: the first filter's one batch, then the coupled filter's l
-        first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
-        num, den, errors = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams],
-                                   counters[:1])
-        traces = combined_rows(first.batch_sizes(0), num, den, 0, errors, l)[:, :, 0]
-        if l:  # every row runs the coupled filter, and a failed row keeps its first error
-            sub = [s.child(1) for s in streams]
-            num, den, errs = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counters[1:])
-            errors = {**errs, **errors}
-            both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, errors, l)
-            a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
-            traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
-    steps = np.cumsum([c.euler_steps for c in counters])
-    return traces, steps[ps], errors
+                traces[run] = _xi(plan, l, p, increment)
+        else:  # p = l: the first filter's one batch, then the coupled filter's l
+            first = BatchSchedule(sched.size(l) - sched.size(l - 1)) if l else sched
+            num, den = pf_rows(bm, data, first, 0, lvl, [s.child(0) for s in streams],
+                               counters[:1])
+            traces = combined_rows(first.batch_sizes(0), num, den, 0, l)[:, :, 0]
+            if l:
+                sub = [s.child(1) for s in streams]
+                num, den = cpf_rows(bm, data, sched, l - 1, lvl, sub, scheme, counters[1:])
+                both = combined_rows(sched.batch_sizes(l - 1), num, den, l - 1, l)
+                a, b = first.n0 / sched.size(l), sched.size(l - 1) / sched.size(l)
+                traces = a * traces + b * both[:, :, 0] - both[:, :, 1]
+        return traces, np.cumsum([c.euler_steps for c in counters])[ps], {}
+    except (DegenerateWeights, NumericalOverflow) as err:
+        if len(streams) == 1:  # a kept traceback would pin the run's arrays
+            return np.full((1, data.n), np.nan), np.zeros(1, int), {0: err.with_traceback(None)}
+    # after the except block, which frees the failed stack's arrays
+    rows = [_run_cell(plan, bm, data, l, ps[r:r + 1], [s], scheme) for r, s in enumerate(streams)]
+    return (np.concatenate([t for t, _, _ in rows]), np.concatenate([c for _, c, _ in rows]),
+            {r: e[0] for r, (_, _, e) in enumerate(rows) if e})
 
 
 def draw_xi(plan, bm, data, l, p, stream, scheme="wasserstein"):

@@ -119,7 +119,7 @@ def _lift(x, rng, dim):
 
 
 def _lifted_result(model, level, shape, *clouds):
-    """A stack's clouds unchecked, for the caller to drop failed rows; a
+    """A stack's clouds unchecked, for the caller to check row by row; a
     lifted call's checked for overflow and in the input's shape."""
     if shape is None:
         return clouds

@@ -668,6 +668,41 @@ def test_config_files_take_keys_the_subcommand_does_not_read(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_plan_flags_the_plan_does_not_read_are_refused(tmp_path, capsys):
+    data = _generate(tmp_path)
+    unbounded = tmp_path / "unbounded.txt"
+    unbounded.write_text("unbounded = true\n")
+    cases = [("run-unbiased", ["--unbounded", "--lmax", "9"], "--lmax"),
+             ("run-single-rand", ["--unbounded", "--lmax", "9"], "--lmax"),
+             ("run-unbiased", ["--config", str(unbounded), "--lmax", "9"], "--lmax"),
+             ("run-unbiased", ["--beta", "1.5"], "--beta"),
+             ("run-unbiased", ["--rho", "0.6", "--lmax", "1"], "--rho")]
+    for i, (mode, extra, flag) in enumerate(cases):
+        out = tmp_path / f"out{i}"
+        assert main([mode, "--data", data, "--m", "4", *extra, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error") and flag in err, (mode, extra)
+        assert not out.exists()
+
+
+def test_run_unbiased_unbounded(tmp_path, capsys):
+    # the theory plan, under a cost budget; a config file's lmax, which
+    # this plan does not read, is echoed like any key it does not read
+    data = _generate(tmp_path)
+    cfg_path = tmp_path / "c.txt"
+    cfg_path.write_text("lmax = 9\n")
+    out = tmp_path / "run"
+    assert main(["run-unbiased", "--config", str(cfg_path), "--data", data, "--unbounded",
+                 "--beta", "1.0", "--rho", "0.9", "--n0", "4", "--m", "10",
+                 "--cost-budget", "100000", "--out", str(out)]) == 0
+    meta = _strict_json(out / "unbiased_meta.json")
+    assert meta["estimator"] == "unbiased"
+    assert meta["cost"]["expected_draw_cost"] == "inf"
+    assert meta["config"]["lmax"] == 9 and meta["config"]["unbounded"] is True
+    assert "lmax = 9" in (out / "run_config.txt").read_text().splitlines()
+    capsys.readouterr()
+
+
 def test_config_file_problems_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("seed = seven\n")

@@ -303,10 +303,8 @@ def test_cpf_step_preserves_marginal_laws(ou, scheme):
 def _fine_coarse(sizes, num, den, q):
     # combined_rows of one time and row with sides (fine, coarse): the
     # (1, 2, 1, p+1) layout of a coupled run's batch values
-    errors = {}
     out = combined_rows(sizes, np.reshape(num, (1, 2, 1, -1)), np.reshape(den, (1, 2, 1, -1)),
-                        q, errors, 1)
-    assert errors == {}
+                        q, 1)
     return out[0, 0]
 
 

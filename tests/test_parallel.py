@@ -11,6 +11,7 @@ from unbiasedpf import (allocate, generate_data, make_benchmark, make_truncated_
                         mlpf_estimate, unbiased_estimate)
 from unbiasedpf.errors import DegenerateWeights
 from unbiasedpf.observation import DataSet
+from unbiasedpf import parallel
 from unbiasedpf.parallel import parallel_for
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -204,6 +205,24 @@ def test_a_worker_that_cannot_report_raises(two_cpus, deadline):
             os.close(r)
             if not closed:
                 os.close(w)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_child_killed_holding_the_counter_raises(two_cpus, deadline, monkeypatch):
+    # the child dies between reading the counter and writing it back, so
+    # the counter is gone; the caller, claiming again after its sleep,
+    # raises rather than wait for it
+    parent, write = os.getpid(), os.write
+
+    def killed_in_child(fd, data):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return write(fd, data)
+
+    monkeypatch.setattr(parallel.os, "write", killed_in_child)
+    with pytest.raises(ChildProcessError, match="exit code -9"):
+        parallel_for(lambda i: time.sleep(0.3), 2, 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

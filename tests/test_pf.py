@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import re
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,11 +15,14 @@ from unbiasedpf import (
     Level,
     batch_cpf_run,
     batch_pf_run,
+    draw_xi,
+    make_truncated_plan,
     multinomial_indices,
     normalized_weights,
     RngStream,
     transition,
 )
+from unbiasedpf import randomization
 from unbiasedpf.errors import DegenerateWeights, InvalidRate, InvalidSimplex, NumericalOverflow
 from unbiasedpf.observation import DataSet
 from unbiasedpf.cpf import SCHEMES, cpf_rows
@@ -132,19 +137,18 @@ def test_batch_schedule():
 
 def _combined(sizes, num, den, q):
     # combined_rows for one time, side and row: (1, 1, 1, p+1) batch values
-    errors = {}
     shape = (1, 1, 1, -1)
-    out = combined_rows(sizes, np.reshape(num, shape), np.reshape(den, shape), q, errors, 0)
-    return float(out[0, 0, 0]), errors
+    out = combined_rows(sizes, np.reshape(num, shape), np.reshape(den, shape), q, 0)
+    return float(out[0, 0, 0])
 
 
 def test_batch_estimate_hand_value():
     sizes, num, den = [2, 4], [1.0, 2.0], [1.0, 1.0]
-    assert _combined(sizes, num, den, 0) == (pytest.approx(1.0, abs=1e-15), {})
-    assert _combined(sizes, num, den, 1) == (pytest.approx(5.0 / 3.0, abs=1e-15), {})
-    _, errors = _combined([2], [1.0], [0.0], 0)
-    assert isinstance(errors[0], DegenerateWeights)
-    assert (errors[0].level, errors[0].p, errors[0].time_index) == (0, 0, 0)
+    assert _combined(sizes, num, den, 0) == pytest.approx(1.0, abs=1e-15)
+    assert _combined(sizes, num, den, 1) == pytest.approx(5.0 / 3.0, abs=1e-15)
+    with pytest.raises(DegenerateWeights) as exc:
+        _combined([2], [1.0], [0.0], 0)
+    assert (exc.value.level, exc.value.p, exc.value.time_index) == (0, 0, 0)
 
 
 def _one_batch(x, log_g, phi):
@@ -155,10 +159,7 @@ def _one_batch(x, log_g, phi):
     if not np.isfinite(shift).all():
         raise _log_max_error(float(shift[0]))
     num, den = _batch_values(x, lg, phi, shift)
-    value, errors = _combined([len(lg[0])], num, den, 0)
-    if errors:
-        raise errors[0]
-    return value
+    return _combined([len(lg[0])], num, den, 0)
 
 
 def _weighted_ratio(log_g_values, values):
@@ -360,55 +361,65 @@ def test_shared_scale_is_pythons_max_over_batch_maxima():
     assert np.array_equal(_shared_scale([one, nan]), [1.0, 3.0])
 
 
-class _LosesRowOne:
-    # OU with row 1 of a 3-row stack failing after the weighting at k = 1:
-    # "weights" sets its batch-2 log-weights to -inf there (batch 2 has 8
-    # particles, so the stack's has 24 and row 1's are 8:16); "overflow"
-    # makes its batch-0 states NaN in the next drift call on batch 0's
-    # (3, 4, 1) stack. Runs of one row never fail.
-    def __init__(self, ou, y, how):
-        self.ou, self.y, self.how, self.armed = ou, y, how, False
+class _Spoiled:
+    # a Generator whose second standard_normal call, the increments to
+    # k = 1, is spoiled in place after it is drawn
+    def __init__(self, gen, spoil):
+        self.gen, self.spoil, self.calls = gen, spoil, 0
 
-    def log_g(self, x, y):
-        lg = self.ou.observation.log_g(x, y)
-        if np.array_equal(y, self.y) and len(x) == 3 * 8 and self.how == "weights":
-            lg = lg.copy()
-            lg[8:16] = -np.inf
-        self.armed |= np.array_equal(y, self.y) and len(x) == 3 * 4 and self.how == "overflow"
-        return lg
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
 
-    def drift(self, x):
-        a = self.ou.diffusion.drift(x)
-        if self.armed and x.shape == (3, 4, 1):
-            self.armed = False
-            a = a.copy()
-            a[1] = np.nan
-        return a
+    def standard_normal(self, shape, out):
+        self.gen.standard_normal(shape, out=out)
+        self.calls += 1
+        if self.calls == 2:
+            self.spoil(out)
 
 
+class _Poisoned:
+    # a stream whose batch-2 generator is _Spoiled: its draw fails at k = 1
+    # whether it runs alone or stacked
+    def __init__(self, stream, spoil):
+        self.stream, self.spoil = stream, spoil
+
+    def child(self, q):
+        gen = self.stream.child(q).gen
+        return SimpleNamespace(gen=_Spoiled(gen, self.spoil) if q == 2 else gen)
+
+
+_SPOIL = {
+    # far-out but finite states, whose log-weights all underflow
+    "weights": lambda dw: dw.__imul__(1e300),
+    "overflow": lambda dw: dw.fill(np.nan),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in square:RuntimeWarning")
 @pytest.mark.parametrize("how", ["weights", "overflow"])
 @pytest.mark.parametrize("scheme", (None,) + SCHEMES)
 def test_a_row_that_fails_mid_run_leaves_the_other_rows_running(ou, ou_data_n3, scheme, how):
-    # the rows left after a drop go on to the last time as they run alone
-    level, sched = Level(0 if scheme is None else 1), BatchSchedule(4)
-
-    def rows(bm, streams):
-        if scheme is None:
-            return pf_rows(bm, ou_data_n3, sched, 2, level, streams)
-        return cpf_rows(bm, ou_data_n3, sched, 2, level, streams, scheme)
-
-    fail = _LosesRowOne(ou, ou_data_n3.y[1], how)
-    bm = dataclasses.replace(ou, observation=fail,
-                             diffusion=dataclasses.replace(ou.diffusion, drift=fail.drift))
+    # row 1 of three fails at k = 1 on its own streams: the stack raises
+    # row 1's own error, and _run_cell reruns the rows alone, so rows 0 and
+    # 2 are their draws run alone, bit for bit, and row 1 keeps that error
+    l, sched, plan = 0 if scheme is None else 1, BatchSchedule(4), make_truncated_plan(3, 4)
     streams = [RngStream(4).child(r) for r in range(3)]
-    num, den, errors = rows(bm, streams)
-    assert list(errors) == [1]
+    streams[1] = _Poisoned(streams[1], _SPOIL[how])
     kind = "transition" if scheme is None else "coupled transition"
-    assert str(errors[1]) == {
-        "weights": f"batch filter lost all weight (l={level.l}, p=2, k=1)",
-        "overflow": f"{kind} overflowed for model 'OU' (l={level.l}, p=2, k=2)"}[how]
+    want = {"weights": f"batch filter lost all weight (l={l}, p=2, k=1)",
+            "overflow": f"{kind} overflowed for model 'OU' (l={l}, p=2, k=1)"}[how]
+    with pytest.raises((DegenerateWeights, NumericalOverflow)) as exc:
+        if scheme is None:
+            pf_rows(ou, ou_data_n3, sched, 2, Level(l), streams)
+        else:
+            cpf_rows(ou, ou_data_n3, sched, 2, Level(l), streams, scheme)
+    assert str(exc.value) == want
+    scheme = scheme or "wasserstein"
+    traces, costs, errors = randomization._run_cell(plan, ou, ou_data_n3, l, [2] * 3, streams,
+                                                    scheme)
+    assert list(errors) == [1] and str(errors[1]) == want
+    with pytest.raises(type(errors[1]), match=re.escape(want)):
+        draw_xi(plan, ou, ou_data_n3, l, 2, streams[1], scheme)
     for r in (0, 2):
-        one_num, one_den, one_errors = rows(ou, [streams[r]])
-        assert not one_errors
-        assert np.array_equal(num[:, :, r], one_num[:, :, 0])
-        assert np.array_equal(den[:, :, r], one_den[:, :, 0])
+        alone = draw_xi(plan, ou, ou_data_n3, l, 2, streams[r], scheme)
+        assert traces[r].tolist() == alone.trace.tolist() and costs[r] == alone.cost

@@ -668,3 +668,25 @@ def test_mixed_p_stacks_equal_draws_run_alone(scheme):
                     unbiased_estimate(plan, nld, data, 40, seed=seed, threads=threads,
                                       scheme=scheme, mode="permissive")
                 assert str(info.value) == str(failed[min(failed)])
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_only_a_failed_stack_reruns_its_rows_alone(monkeypatch, ou, ou_data_n3):
+    # a stack that runs clean is never rerun; one that fails reruns each of
+    # its rows alone exactly once, and keeps each error without a traceback
+    calls, run_cell = [], randomization._run_cell
+
+    def counted(plan, bm, data, l, ps, streams, scheme):
+        calls.append(list(streams))
+        return run_cell(plan, bm, data, l, ps, streams, scheme)
+
+    monkeypatch.setattr(randomization, "_run_cell", counted)
+    nld, data, _ = _log_link_case([0.5, 0.5, 0.5])
+    plan, ps = make_truncated_plan(2, 1), [2] * 12 + [1] * 12 + [0] * 12
+    streams = [RngStream(6).child(i + 1, ROLE_FILTER) for i in range(len(ps))]
+    _, _, errors = randomization._run_cell(plan, ou, ou_data_n3, 0, ps, streams, "wasserstein")
+    assert not errors and calls == [streams]
+    calls.clear()
+    _, _, errors = randomization._run_cell(plan, nld, data, 0, ps, streams, "wasserstein")
+    assert errors and calls == [streams] + [[s] for s in streams]
+    assert all(err.__traceback__ is None for err in errors.values())

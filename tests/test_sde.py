@@ -47,6 +47,59 @@ def test_euler_step_hand_value(ou_model):
     assert out == pytest.approx(1.6, abs=1e-15)
 
 
+def _b_state(x):
+    # a state-dependent, non-diagonal 2 x 2 diffusion matrix
+    b = np.empty(np.shape(x)[:-1] + (2, 2))
+    b[..., 0, 0], b[..., 0, 1] = 1.0, x[..., 1]
+    b[..., 1, 0], b[..., 1, 1] = 0.5 * x[..., 0], 2.0
+    return b
+
+
+# dZ = -Z dt + b dW in d = 2, with a constant non-diagonal b and with _b_state
+_PLANAR = {
+    "constant": DiffusionModel(2, lambda x: -x,
+                               lambda x: np.broadcast_to([[1.0, 0.5], [0.2, 2.0]],
+                                                         np.shape(x)[:-1] + (2, 2)),
+                               np.zeros(2), True, "planar"),
+    "state": DiffusionModel(2, lambda x: -x, _b_state, np.zeros(2), False, "planar-b(x)"),
+}
+
+
+@pytest.mark.parametrize("kind,want", [("constant", [0.75, 1.12]), ("state", [0.45, 1.15])])
+def test_euler_step_hand_value_in_two_dimensions(kind, want):
+    # x + (-x) dt + b dw with x = (1, 2), dt = 0.25, dw = (0.1, -0.2):
+    # constant b dw = (0.1 - 0.1, 0.02 - 0.4); b(x) = ((1, 2), (0.5, 2)),
+    # b(x) dw = (0.1 - 0.4, 0.05 - 0.4)
+    out = euler_step(_PLANAR[kind], np.array([1.0, 2.0]), 0.25, np.array([0.1, -0.2]))
+    assert out == pytest.approx(want, abs=1e-15)
+
+
+@pytest.mark.parametrize("kind", list(_PLANAR))
+def test_two_dimensional_kernels_equal_a_per_step_loop(kind):
+    # transition and coupled_transition against euler_step, step by step, on
+    # the same generator draws: the fine chain on each increment, the
+    # coarse one on pairwise sums with twice the step
+    model, level = _PLANAR[kind], Level(3)
+    x = np.linspace(-1, 1, 10).reshape(5, 2)
+    dt, steps = level.dt, level.steps_per_unit
+
+    def increments(key):  # one block of every step, as the kernel draws them here
+        return RngStream(5, key).gen.standard_normal((steps,) + x.shape) * math.sqrt(dt)
+
+    assert _step_groups(steps, *x.shape) == [steps]
+    dw, fine = increments((0,)), x
+    for s in range(steps):
+        fine = euler_step(model, fine, dt, dw[s])
+    assert np.array_equal(transition(model, x, level, RngStream(5, (0,))), fine)
+    dw, fine, coarse = increments((1,)), x, 0.5 * x
+    for s in range(steps):
+        fine = euler_step(model, fine, dt, dw[s])
+    for s in range(0, steps, 2):
+        coarse = euler_step(model, coarse, 2 * dt, dw[s] + dw[s + 1])
+    xf, xc = coupled_transition(model, x, 0.5 * x, level, RngStream(5, (1,)))
+    assert np.array_equal(xf, fine) and np.array_equal(xc, coarse)
+
+
 def test_euler_step_batch_shape(ou_model):
     x = np.arange(6, dtype=float).reshape(6, 1)
     out = euler_step(ou_model, x, 0.5, np.zeros((6, 1)))
