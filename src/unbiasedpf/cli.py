@@ -310,9 +310,6 @@ def run_generate(cfg):
 def run_reference(cfg):
     data = _load_data(cfg)
     bm = _benchmark_for(cfg, data)
-    out = _ensure_out(cfg)
-    csv_path = os.path.join(out, "reference.csv")
-    meta_path = os.path.join(out, "reference.meta.json")
     desk = cfg.get("desk")
     exact = (
         bm.name == "OU"
@@ -330,6 +327,10 @@ def run_reference(cfg):
         params["level"] = cfg.get("level", 8 if desk else 10)
         params["particles"] = cfg.get("particles", 4000 if desk else 20000)
         params["repeats"] = cfg.get("repeats", 8 if desk else 20)
+        level, sched = Level(params["level"]), BatchSchedule(params["particles"])
+    out = _ensure_out(cfg)
+    csv_path = os.path.join(out, "reference.csv")
+    meta_path = os.path.join(out, "reference.meta.json")
 
     if not cfg.get("refresh") and os.path.exists(csv_path) and os.path.exists(meta_path):
         if _read_json(meta_path, "cached reference").get("params") == params:
@@ -342,10 +343,7 @@ def run_reference(cfg):
             for k, mv in enumerate(moments)
         ]
     else:
-        level = Level(params["level"])
-        particles = params["particles"]
         repeats = params["repeats"]
-        sched = BatchSchedule(particles)
 
         def work(r):
             stream = RngStream(params["seed"], (r, ROLE_REFERENCE))
@@ -537,8 +535,8 @@ def run_sweep(cfg):
     seed = cfg.get("seed")
     scheme = cfg.get("scheme")
     threads = cfg.get("threads")
-    out = _ensure_out(cfg)
     sched = BatchSchedule(particles)
+    out = _ensure_out(cfg)
 
     rows = []
     for l in levels:

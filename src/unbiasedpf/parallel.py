@@ -8,20 +8,24 @@ the worker count or on scheduling.
 A draw is mostly interpreted Python, so threads would only contend for the
 interpreter lock. parallel_for instead forks its extra workers after `work`
 exists, so each inherits the closure, the model and the data; the calling
-process is a worker too. Every worker claims the next index, largest cost
-first (longest-processing-time list scheduling), from one shared counter
-until none is left. Each child then sends back, through a pipe, the pickled
-{index: result} of what it ran and its lowest failing index's error, and
-leaves through os._exit, so it never flushes the parent's stdio buffers or
-runs its exit handlers.
+process is a worker too. Before forking, the caller writes the run order,
+largest cost first (longest-processing-time list scheduling), as 8-byte
+entries into a temporary file, whose offset every forked worker shares. A
+worker claims the next index by reading one entry: a read through one open
+file advances its offset atomically, so each entry goes to exactly one
+worker, and nothing is written back, so no worker ever waits on another and
+one that dies loses only the index it claimed. Each child then sends back,
+through a pipe, the pickled {index: result} of what it ran and its lowest
+failing index's error, and leaves through os._exit, so it never flushes the
+parent's stdio buffers or runs its exit handlers.
 """
 
 import numbers
 import os
 import pickle
-import select
 import signal
 import sys
+import tempfile
 
 from .errors import InvalidRate
 
@@ -55,87 +59,62 @@ def parallel_for(work, count, threads, costs=None):
         return [work(i) for i in range(count)]
     # a stable sort: index order among equal costs
     order = sorted(range(count), key=lambda i: 0 if costs is None else costs[i], reverse=True)
-    # The counter is the one 8-byte message in a pipe (atomic, as it is under
-    # PIPE_BUF): a worker claims a position by reading it and writing it + 1.
-    # A child killed between the two takes the counter with it, so a worker
-    # waits for it in select, and the caller checks on its children every
-    # 0.1 s of waiting; a healthy worker holds the counter for microseconds.
-    counter_r, counter_w = os.pipe()
-    os.set_blocking(counter_r, False)
-    os.write(counter_w, bytes(8))
     children = []  # (pid, read end) of every child not yet reaped
+    with tempfile.TemporaryFile() as queue:
+        queue.write(b"".join(i.to_bytes(8, "little") for i in order))
+        queue.seek(0)  # flushes the entries, and every worker reads on from here
 
-    def claim():
-        while True:
-            try:
-                pos = int.from_bytes(os.read(counter_r, 8), "little")
-                os.write(counter_w, (pos + 1).to_bytes(8, "little"))
-                return pos
-            except BlockingIOError:  # another worker holds the counter
-                wait(counter_r)
+        # Reads through one open file advance its offset atomically (Linux
+        # since 3.14, and the BSDs), so each entry goes to one worker.
+        def claim():  # the next index in run order, or None when none is left
+            entry = os.read(queue.fileno(), 8)
+            return int.from_bytes(entry, "little") if entry else None
 
-    def wait(fd):  # until fd is readable, or a child has ended without reporting
-        while not select.select([fd], [], [], 0.1)[0]:
-            for pid, _ in children:
-                info = os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT)
-                if code := info and (info.si_status if info.si_code == os.CLD_EXITED
-                                     else -info.si_status):
-                    raise _unreported(pid, code)
-
-    # A child inherits unflushed stdio buffers; a warning it prints would
-    # flush the parent's pending text a second time.
-    sys.stdout.flush()
-    sys.stderr.flush()
-    try:
-        for _ in range(workers - 1):
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-                if pid == 0:
-                    children.clear()  # a child waits only on the counter
-                    _child(work, order, claim, w)
-            except BaseException:
-                os.close(r)
-                raise
-            finally:
-                os.close(w)
-            children.append((pid, open(r, "rb")))
-        done, failed = _run(work, order, claim)
-        while children:
-            pid, fh = children[0]
-            wait(fh)  # it may be claiming from a counter that a dead child took
-            payload = fh.read()
-            fh.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            children.pop(0)
-            if code != 0:
-                raise _unreported(pid, code)
-            part, err = pickle.loads(payload)
-            done.update(part)
-            if err is not None and (failed is None or err[0] < failed[0]):
-                failed = err
-        if failed is not None:
-            raise failed[1]
-        return [done[i] for i in range(count)]
-    finally:
-        for pid, fh in children:
-            fh.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        os.close(counter_r)
-        os.close(counter_w)
+        # A child inherits unflushed stdio buffers; a warning it prints would
+        # flush the parent's pending text a second time.
+        sys.stdout.flush()
+        sys.stderr.flush()
+        try:
+            for _ in range(workers - 1):
+                r, w = os.pipe()
+                try:
+                    if (pid := os.fork()) == 0:
+                        _child(work, claim, w)
+                except BaseException:
+                    os.close(r)
+                    raise
+                finally:
+                    os.close(w)
+                children.append((pid, open(r, "rb")))
+            done, failed = _run(work, claim)
+            while children:
+                pid, fh = children[0]
+                payload = fh.read()  # to its end, however the child ends
+                fh.close()
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                children.pop(0)
+                if code != 0:
+                    raise ChildProcessError(
+                        f"worker process {pid} ended with exit code {code} without reporting")
+                part, err = pickle.loads(payload)
+                done.update(part)
+                if err is not None and (failed is None or err[0] < failed[0]):
+                    failed = err
+            if failed is not None:
+                raise failed[1]
+            return [done[i] for i in range(count)]
+        finally:
+            for pid, fh in children:
+                fh.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
-def _unreported(pid, code):
-    return ChildProcessError(f"worker process {pid} ended with exit code {code} without reporting")
-
-
-def _run(work, order, claim):
-    """Run work on claimed positions of `order`, skipping indices above the lowest
-    one seen to fail; return ({index: result}, (that index, its error) or None)."""
+def _run(work, claim):
+    """Run work on claimed indices, skipping those above the lowest one seen
+    to fail; return ({index: result}, (that index, its error) or None)."""
     done, failed = {}, None
-    while (pos := claim()) < len(order):
-        i = order[pos]
+    while (i := claim()) is not None:
         if failed is not None and i > failed[0]:
             continue
         try:
@@ -145,11 +124,11 @@ def _run(work, order, claim):
     return done, failed
 
 
-def _child(work, order, claim, w):
+def _child(work, claim, w):
     """Run claimed indices in a forked child, report through fd `w`, and exit."""
     code = 1
     try:
-        payload = pickle.dumps(_run(work, order, claim), protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(_run(work, claim), protocol=pickle.HIGHEST_PROTOCOL)
         with open(w, "wb") as fh:
             fh.write(payload)
         code = 0

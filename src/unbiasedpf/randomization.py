@@ -485,15 +485,17 @@ def unbiased_estimate(plan, bm, data, m, seed, threads=1, scheme="wasserstein",
     failed draws are retried on fresh sub-streams (up to a small cap) and
     the retry count is reported.
 
-    cost_budget, if given, bounds the per-draw Euler-step cost up front;
-    exceeding it raises CostBudgetExceeded. This is the guard rail for
-    unbounded plans, whose expected cost is infinite.
+    cost_budget, if given, is a whole number >= 0 that bounds the per-draw
+    Euler-step cost up front; exceeding it raises CostBudgetExceeded. This
+    is the guard rail for unbounded plans, whose expected cost is infinite.
     """
     m = _check_draw_count(m)
     if mode not in ("strict", "permissive"):
         raise ValueError(f"unknown failure mode {mode!r}")
     check_scheme(scheme)
     threads = check_threads(threads)
+    if cost_budget is not None and whole_number(cost_budget, 0) is None:
+        raise InvalidRate(f"cost_budget must be a non-negative integer, got {cost_budget!r}")
     root = RngStream(seed)
     plan_gen = root.child(0, ROLE_PLAN).gen
     ls, ps = _sample_indices(plan, plan_gen, m)

@@ -752,6 +752,30 @@ def test_fractional_mlpf_level_is_rejected_before_any_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("model,argv,code", [
+    ("NLD", ["reference", "--particles", "0"], 1),
+    ("NLD", ["reference", "--level", "-1"], 2),
+    ("OU", ["sweep-variance", "--particles", "0", "--repeats", "2"], 1),
+], ids=["reference-particles", "reference-level", "sweep-particles"])
+def test_sizes_and_levels_are_checked_before_the_output_directory(tmp_path, capsys,
+                                                                  model, argv, code):
+    data = _generate(tmp_path, model=model)
+    out = tmp_path / "out"
+    assert main([*argv, "--data", data, "--out", str(out)]) == code
+    capsys.readouterr()
+    assert not out.exists()
+
+
+def test_a_negative_cost_budget_is_a_configuration_error(tmp_path, capsys):
+    data = _generate(tmp_path)
+    out = tmp_path / "run"
+    assert main(["run-unbiased", "--data", data, "--lmax", "2", "--m", "4",
+                 "--cost-budget", "-1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error") and "cost_budget" in err
+    assert not out.exists()
+
+
 def _reference_argv(data, out, *extra):
     return ["reference", "--data", data, "--out", str(out), *extra]
 

@@ -25,10 +25,11 @@ def two_cpus(monkeypatch):
 
 @pytest.fixture
 def deadline():
-    """Fail a test whose workers wait on each other, rather than hang, when
-    the schedule it relies on breaks."""
+    """Fail a test, rather than hang, when the schedule it relies on breaks.
+    Workers never wait on each other, but a test that gates them through a
+    pipe can still wait forever."""
     def expire(signum, frame):
-        raise TimeoutError("the workers waited on each other for 30 s")
+        raise TimeoutError("the test waited for 30 s")
 
     old = signal.signal(signal.SIGALRM, expire)
     signal.alarm(30)
@@ -209,20 +210,72 @@ def test_a_worker_that_cannot_report_raises(two_cpus, deadline):
         os.waitpid(-1, os.WNOHANG)
 
 
-def test_a_child_killed_holding_the_counter_raises(two_cpus, deadline, monkeypatch):
-    # the child dies between reading the counter and writing it back, so
-    # the counter is gone; the caller, claiming again after its sleep,
-    # raises rather than wait for it
-    parent, write = os.getpid(), os.write
+def test_a_child_killed_holding_a_claim_raises(two_cpus, deadline, monkeypatch):
+    # the child dies right after it claims an index; the caller's index
+    # waits until it has, so the child always claims one
+    parent, read = os.getpid(), os.read
+    r, w = os.pipe()
+    closed = []
 
-    def killed_in_child(fd, data):
-        if os.getpid() != parent:
+    def killed_in_child(fd, n):
+        data = read(fd, n)
+        if data and os.getpid() != parent:
             os.kill(os.getpid(), signal.SIGKILL)
-        return write(fd, data)
+        return data
 
-    monkeypatch.setattr(parallel.os, "write", killed_in_child)
-    with pytest.raises(ChildProcessError, match="exit code -9"):
-        parallel_for(lambda i: time.sleep(0.3), 2, 2)
+    def work(i):
+        os.close(w)
+        closed.append(w)
+        assert read(r, 1) == b""  # every other holder of w has exited
+        return i
+
+    monkeypatch.setattr(parallel.os, "read", killed_in_child)
+    try:
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            parallel_for(work, 2, 2)
+    finally:
+        os.close(r)
+        if not closed:
+            os.close(w)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_killed_child_among_three_workers_raises(monkeypatch, deadline):
+    # the first child to claim an index takes the one token and dies; the
+    # other child sleeps through its indices, and no worker waits on another
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    parent, read = os.getpid(), os.read
+    token_r, token_w = os.pipe()
+    died_r, died_w = os.pipe()
+    os.write(token_w, b"x")
+    os.set_blocking(token_r, False)
+    waited = []
+
+    def killed_once(fd, n):
+        data = read(fd, n)
+        if data and os.getpid() != parent:
+            try:
+                read(token_r, 1)
+            except BlockingIOError:  # another child took the token
+                return data
+            os.write(died_w, b"x")
+            os.kill(os.getpid(), signal.SIGKILL)
+        return data
+
+    def work(i):
+        if os.getpid() == parent and not waited:
+            waited.append(read(died_r, 1))  # a child has died holding a claim
+        time.sleep(0.1)
+        return i
+
+    monkeypatch.setattr(parallel.os, "read", killed_once)
+    try:
+        with pytest.raises(ChildProcessError, match="exit code -9"):
+            parallel_for(work, 9, 3)
+    finally:
+        for fd in (token_r, token_w, died_r, died_w):
+            os.close(fd)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

@@ -339,8 +339,18 @@ def test_cost_budget_guard(ou, ou_data_n3):
     plan = make_truncated_plan(2, 10)
     with pytest.raises(CostBudgetExceeded):
         unbiased_estimate(plan, ou, ou_data_n3, 200, seed=3, cost_budget=50)
-    est = unbiased_estimate(plan, ou, ou_data_n3, 20, seed=3, cost_budget=10 ** 9)
-    assert est.m == 20
+    with pytest.raises(CostBudgetExceeded):
+        unbiased_estimate(plan, ou, ou_data_n3, 20, seed=3, cost_budget=0)
+    for budget in (10 ** 9, 1e9):
+        est = unbiased_estimate(plan, ou, ou_data_n3, 20, seed=3, cost_budget=budget)
+        assert est.m == 20
+
+
+@pytest.mark.parametrize("budget", [float("nan"), -1, 2.5, "abc"])
+def test_a_cost_budget_that_is_not_a_whole_number_raises(ou, ou_data_n3, budget):
+    with pytest.raises(InvalidRate, match="cost_budget"):
+        unbiased_estimate(make_truncated_plan(2, 10), ou, ou_data_n3, 20, seed=3,
+                          cost_budget=budget)
 
 
 def test_permissive_mode_retries_failed_draws():
